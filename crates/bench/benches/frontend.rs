@@ -16,6 +16,7 @@ use btb_trace::Trace;
 use btb_workloads::{AppSpec, InputConfig};
 use sim_support::{pool, BenchHarness};
 use thermometer::pipeline::{Pipeline, PipelineConfig};
+use thermometer_bench::figures::memo;
 use thermometer_bench::{figure_by_id, Scale};
 use uarch_sim::{Frontend, FrontendConfig};
 
@@ -45,15 +46,19 @@ fn main() {
 
     // The grid executor, serial vs. pooled, on one representative figure.
     // Output is byte-identical either way (tests/grid_parallel.rs); only
-    // wall-clock may differ, by up to the machine's core count.
+    // wall-clock may differ, by up to the machine's core count. Each
+    // iteration starts from a cold trace memo, so both still time trace
+    // generation as their recorded baselines did.
     let smoke = Scale::smoke();
     let cells = Some(smoke.apps.len() as u64);
     pool::set_threads(1);
     harness.bench("fig01_grid_serial", cells, || {
+        memo::reset();
         black_box(figure_by_id("fig01", &smoke))
     });
     pool::set_threads(0); // default: SIM_THREADS or available parallelism
     harness.bench("fig01_grid_pooled", cells, || {
+        memo::reset();
         black_box(figure_by_id("fig01", &smoke))
     });
     harness.note(&format!(

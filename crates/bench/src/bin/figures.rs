@@ -40,6 +40,7 @@
 use std::time::Instant;
 
 use sim_support::{fault, fsio, pool};
+use thermometer_bench::figures::memo;
 use thermometer_bench::{
     figure_by_id, grid, journal, merge, sweep, Journal, Scale, ShardSpec, SweepConfig, FIGURE_IDS,
 };
@@ -156,7 +157,7 @@ fn run_sweep_cli(args: Vec<String>) -> ! {
             _ => unreachable!("parse_sweep_args vetted the flag list"),
         }
     }
-    let scale = Scale::from_env();
+    let scale = scale_from_env();
     eprintln!(
         "sweep: {} figure(s) over {} shard(s) under {}",
         cfg.ids.len(),
@@ -192,7 +193,7 @@ fn run_sweep_cli(args: Vec<String>) -> ! {
 
 fn run_merge_cli(args: Vec<String>) -> ! {
     let parsed = parse_sweep_args(args, true);
-    let scale = Scale::from_env();
+    let scale = scale_from_env();
     let outcome = merge::merge_shards(
         &scale,
         &parsed.ids,
@@ -368,7 +369,7 @@ fn run_worker(args: Vec<String>) {
         fault::silence_injected_panics();
     }
 
-    let scale = Scale::from_env();
+    let scale = scale_from_env();
     let threads = pool::configured_threads();
     eprintln!(
         "scale: {} records/app, {} apps, cbp {}x{}, ipc1 {}x{}, {} thread{}",
@@ -499,6 +500,7 @@ fn run_worker(args: Vec<String>) {
         &notes,
         &cells,
         &quarantined,
+        memo::stats(&scale),
     ) {
         Ok(()) => eprintln!("wrote {grid_stats_path}"),
         Err(e) => eprintln!("failed to write {grid_stats_path}: {e}"),
@@ -519,6 +521,14 @@ fn run_worker(args: Vec<String>) {
         );
         eprintln!("wrote {path}");
     }
+}
+
+/// The run's scale; a malformed `THERMO_*` knob exits 2 with the message.
+fn scale_from_env() -> Scale {
+    Scale::from_env().unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    })
 }
 
 fn usage(error: &str) -> ! {

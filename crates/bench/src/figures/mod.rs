@@ -4,6 +4,7 @@
 mod characterization;
 mod evaluation;
 mod extensions;
+pub mod memo;
 mod sensitivity;
 mod suites;
 
@@ -12,6 +13,8 @@ pub use evaluation::{fig11, fig12, fig13, fig14, fig15, fig16};
 pub use extensions::{ablation, extra_policies, hierarchy, trrip_grid};
 pub use sensitivity::{fig19_entries, fig19_ways, fig20_categories, fig20_ftq, fig21};
 pub use suites::{fig17, fig18};
+
+use std::sync::Arc;
 
 use crate::scale::Scale;
 use crate::text::FigureResult;
@@ -90,16 +93,21 @@ pub fn all_figures(scale: &Scale) -> Vec<FigureResult> {
         .collect()
 }
 
-/// The training trace (input `#0`) for an application.
-pub(crate) fn train_trace(spec: &AppSpec, scale: &Scale) -> Trace {
-    let trace = spec.generate(InputConfig::input(0), scale.trace_len);
-    crate::grid::note_accesses(trace.len() as u64);
-    trace
+/// The training trace (input `#0`) for an application, shared through the
+/// [trace memo](memo).
+pub(crate) fn train_trace(spec: &AppSpec, scale: &Scale) -> Arc<Trace> {
+    app_trace(spec, InputConfig::input(0), scale)
 }
 
-/// The default test trace (input `#1`).
-pub(crate) fn test_trace(spec: &AppSpec, scale: &Scale) -> Trace {
-    let trace = spec.generate(InputConfig::input(1), scale.trace_len);
+/// The default test trace (input `#1`), shared through the [trace memo](memo).
+pub(crate) fn test_trace(spec: &AppSpec, scale: &Scale) -> Arc<Trace> {
+    app_trace(spec, InputConfig::input(1), scale)
+}
+
+fn app_trace(spec: &AppSpec, input: InputConfig, scale: &Scale) -> Arc<Trace> {
+    let trace = memo::trace(spec, input, scale);
+    // Credited on hits too: a cell's accesses count the records it
+    // simulates, whoever generated them.
     crate::grid::note_accesses(trace.len() as u64);
     trace
 }

@@ -28,7 +28,8 @@
 //! Each cell records wall-time, simulated BTB accesses (reported by
 //! [`note_accesses`]) and the pool queue depth at dispatch into a
 //! process-wide registry; the `figures` binary drains it into
-//! `results/grid_stats.json` via [`write_grid_stats`].
+//! `results/grid_stats.json` via [`write_grid_stats`], next to the
+//! [trace memo](crate::figures::memo)'s hit and miss counts.
 //!
 //! # Fault tolerance
 //!
@@ -50,6 +51,8 @@ use std::time::Instant;
 
 use sim_support::fault::{self, FaultClass, SimError};
 use sim_support::{fsio, pool, SimRng};
+
+use crate::figures::memo;
 
 /// Seed folded with the figure id to root each figure's cell-RNG tree.
 const GRID_SEED: u64 = 0x6e1d_5eed_b7b2_0221;
@@ -398,6 +401,7 @@ pub fn write_grid_stats(
     notes: &[String],
     cells: &[CellStat],
     quarantined: &[Quarantined],
+    trace_memo: memo::Stats,
 ) -> std::io::Result<()> {
     let escape = fsio::json_escape;
     let mut out = String::from("{\n");
@@ -418,6 +422,10 @@ pub fn write_grid_stats(
             stats.threads, stats.steals, stats.executed, stats.depth_hwm
         ));
     }
+    out.push_str(&format!(
+        "  \"trace_memo\": {{ \"hits\": {}, \"misses\": {}, \"enabled\": {} }},\n",
+        trace_memo.hits, trace_memo.misses, trace_memo.enabled
+    ));
     out.push_str("  \"notes\": [\n");
     for (i, note) in notes.iter().enumerate() {
         let comma = if i + 1 < notes.len() { "," } else { "" };

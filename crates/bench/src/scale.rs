@@ -1,5 +1,7 @@
 //! Experiment scale configuration.
 
+use std::env::VarError;
+
 use btb_workloads::AppSpec;
 
 /// How big each experiment runs. Every knob has an environment override so
@@ -29,40 +31,87 @@ pub struct Scale {
     pub apps: Vec<AppSpec>,
 }
 
-fn env_usize(key: &str, default: usize) -> usize {
+/// A count knob: its default when unset, an error naming the variable when
+/// set to anything but a whole number.
+fn env_usize(key: &str, default: usize) -> Result<usize, String> {
     // simlint: allow(D04) -- THERMO_* scale knobs are documented in README.md
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    match std::env::var(key) {
+        Ok(raw) => parse_usize(key, &raw),
+        Err(VarError::NotPresent) => Ok(default),
+        Err(e) => Err(format!("{key}: {e}")),
+    }
+}
+
+fn parse_usize(key: &str, raw: &str) -> Result<usize, String> {
+    raw.trim()
+        .parse()
+        .map_err(|_| format!("{key}={raw:?} is not a whole number (e.g. {key}=10000)"))
+}
+
+/// The applications `filter` (comma-separated names) selects, in canonical
+/// order. An unknown name is an error listing the valid ones.
+fn parse_apps(filter: &str) -> Result<Vec<AppSpec>, String> {
+    let all = AppSpec::all();
+    let wanted: Vec<&str> = filter
+        .split(',')
+        .map(str::trim)
+        .filter(|name| !name.is_empty())
+        .collect();
+    let unknown: Vec<&str> = wanted
+        .iter()
+        .copied()
+        .filter(|name| !all.iter().any(|s| s.name == *name))
+        .collect();
+    if wanted.is_empty() || !unknown.is_empty() {
+        let valid: Vec<&str> = all.iter().map(|s| s.name.as_str()).collect();
+        return Err(format!(
+            "THERMO_APPS={filter:?}: unknown application(s) [{}]; valid names: {}",
+            unknown.join(", "),
+            valid.join(", ")
+        ));
+    }
+    Ok(all
+        .into_iter()
+        .filter(|s| wanted.contains(&s.name.as_str()))
+        .collect())
 }
 
 impl Scale {
-    /// Full-fidelity defaults with environment overrides.
-    pub fn from_env() -> Self {
+    /// The paper-fidelity defaults: all 13 applications at 2M records.
+    pub fn paper() -> Self {
+        Self {
+            trace_len: 2_000_000,
+            cbp_count: 96,
+            cbp_len: 200_000,
+            ipc1_count: 50,
+            ipc1_len: 400_000,
+            apps: AppSpec::all(),
+        }
+    }
+
+    /// [`Scale::paper`] with the environment overrides applied.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the variable when a count knob is not a whole
+    /// number, or when `THERMO_APPS` names an unknown application (the
+    /// message lists the valid names).
+    pub fn from_env() -> Result<Self, String> {
+        let paper = Self::paper();
         // simlint: allow(D04) -- THERMO_APPS filter is documented in README.md
         let apps = match std::env::var("THERMO_APPS") {
-            Ok(filter) => {
-                let wanted: Vec<&str> = filter.split(',').map(str::trim).collect();
-                AppSpec::all()
-                    .into_iter()
-                    .filter(|s| wanted.contains(&s.name.as_str()))
-                    .collect()
-            }
-            Err(_) => AppSpec::all(),
+            Ok(filter) => parse_apps(&filter)?,
+            Err(VarError::NotPresent) => paper.apps,
+            Err(e) => return Err(format!("THERMO_APPS: {e}")),
         };
-        assert!(
-            !apps.is_empty(),
-            "THERMO_APPS filtered out every application"
-        );
-        Self {
-            trace_len: env_usize("THERMO_TRACE_LEN", 2_000_000),
-            cbp_count: env_usize("THERMO_CBP_COUNT", 96),
-            cbp_len: env_usize("THERMO_CBP_LEN", 200_000),
-            ipc1_count: env_usize("THERMO_IPC1_COUNT", 50),
-            ipc1_len: env_usize("THERMO_IPC1_LEN", 400_000),
+        Ok(Self {
+            trace_len: env_usize("THERMO_TRACE_LEN", paper.trace_len)?,
+            cbp_count: env_usize("THERMO_CBP_COUNT", paper.cbp_count)?,
+            cbp_len: env_usize("THERMO_CBP_LEN", paper.cbp_len)?,
+            ipc1_count: env_usize("THERMO_IPC1_COUNT", paper.ipc1_count)?,
+            ipc1_len: env_usize("THERMO_IPC1_LEN", paper.ipc1_len)?,
             apps,
-        }
+        })
     }
 
     /// A tiny scale for tests: three applications, short traces.
@@ -95,6 +144,42 @@ mod tests {
 
     #[test]
     fn env_parsing_falls_back() {
-        assert_eq!(env_usize("THERMO_DOES_NOT_EXIST_XYZ", 7), 7);
+        assert_eq!(env_usize("THERMO_DOES_NOT_EXIST_XYZ", 7), Ok(7));
+    }
+
+    #[test]
+    fn unparsable_count_names_the_variable() {
+        assert_eq!(parse_usize("THERMO_TRACE_LEN", " 10000 "), Ok(10_000));
+        let err = parse_usize("THERMO_TRACE_LEN", "10k").unwrap_err();
+        assert!(
+            err.contains("THERMO_TRACE_LEN") && err.contains("10k"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn unknown_app_is_rejected_with_the_valid_names() {
+        let err = parse_apps("kafka,memcached").unwrap_err();
+        assert!(
+            err.contains("THERMO_APPS") && err.contains("memcached"),
+            "{err}"
+        );
+        for spec in AppSpec::all() {
+            assert!(err.contains(&spec.name), "{err} lacks {}", spec.name);
+        }
+        assert!(
+            parse_apps(" , ").is_err(),
+            "an empty filter selects nothing"
+        );
+    }
+
+    #[test]
+    fn app_filter_keeps_canonical_order() {
+        let names: Vec<String> = parse_apps(" python,kafka ,")
+            .expect("known names")
+            .into_iter()
+            .map(|s| s.name)
+            .collect();
+        assert_eq!(names, ["kafka", "python"]);
     }
 }

@@ -56,6 +56,14 @@ impl Trace {
         }
     }
 
+    /// Creates an empty trace with room for `capacity` records.
+    pub fn with_capacity(name: impl Into<String>, capacity: usize) -> Self {
+        Self {
+            name: name.into(),
+            records: Vec::with_capacity(capacity),
+        }
+    }
+
     /// Creates a trace from pre-collected records.
     pub fn from_records(name: impl Into<String>, records: Vec<BranchRecord>) -> Self {
         Self {
@@ -113,6 +121,11 @@ impl Trace {
     /// Truncates the trace to at most `len` records.
     pub fn truncate(&mut self, len: usize) {
         self.records.truncate(len);
+    }
+
+    /// Releases spare capacity, so the trace holds exactly its records.
+    pub fn shrink_to_fit(&mut self) {
+        self.records.shrink_to_fit();
     }
 }
 

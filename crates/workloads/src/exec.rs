@@ -24,6 +24,12 @@ const DRIVER_LOOP_PC: u64 = 0x0020_0040;
 const MAX_DEPTH: usize = 64;
 /// Records per request before the request is force-completed.
 const REQUEST_CAP: usize = 40_000;
+/// Records a run may emit past its target before the final truncate: the
+/// interpreter step that reaches the target emits at most a call/return
+/// pair, then the request adds one record per cold walk (two at the
+/// default 1.4 walk budget) and its loop-back branch. A larger overshoot
+/// only costs one regrowth.
+const OVERSHOOT: usize = 16;
 
 /// Whether input `input_id` swaps popularity rank `rank` with its neighbour
 /// (`rank ^ 1`). Deterministic, ~1/8 of mid-tail ranks per input, different
@@ -126,11 +132,15 @@ impl<'p> Executor<'p> {
 
     /// Runs requests until exactly `records` branch records are emitted.
     pub fn run(&mut self, records: usize) -> Trace {
-        let mut trace = Trace::new(format!("{}#{}", self.spec.name, self.input.input_id));
+        let mut trace = Trace::with_capacity(
+            format!("{}#{}", self.spec.name, self.input.input_id),
+            records.saturating_add(OVERSHOOT),
+        );
         while trace.len() < records {
             self.run_request(&mut trace, records);
         }
         trace.truncate(records);
+        trace.shrink_to_fit();
         trace
     }
 

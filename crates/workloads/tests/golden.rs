@@ -1,7 +1,7 @@
 //! Golden determinism pins: the generator's output is part of the
 //! reproducibility contract (EXPERIMENTS.md), so accidental changes to it
 //! must fail loudly. If you change the generator *intentionally*, update
-//! the hashes and note the change in CHANGELOG.md.
+//! the hashes and note the change in CHANGES.md.
 
 use btb_workloads::{AppSpec, InputConfig};
 

@@ -32,6 +32,9 @@ cargo build --workspace --release
 echo "==> cargo test"
 cargo test --workspace --quiet
 
+echo "==> thermobench unit tests (benchmark/ is a package outside the workspace)"
+CARGO_TARGET_DIR=.bench_build cargo test -q --manifest-path benchmark/Cargo.toml
+
 echo "==> figures --threads 2 smoke (parallel path, byte-compared against serial)"
 smoke_env=(THERMO_TRACE_LEN=40000 THERMO_CBP_COUNT=4 THERMO_CBP_LEN=10000
            THERMO_IPC1_COUNT=4 THERMO_IPC1_LEN=10000 THERMO_APPS=kafka,python)
@@ -40,6 +43,9 @@ env "${smoke_env[@]}" ./target/release/figures fig01 fig09 fig17 trrip hierarchy
 env "${smoke_env[@]}" ./target/release/figures fig01 fig09 fig17 trrip hierarchy \
     --threads 2 --markdown /tmp/ci_parallel.md --grid-stats /tmp/ci_grid_parallel.json >/dev/null
 cmp /tmp/ci_serial.md /tmp/ci_parallel.md
+# The parallel run served repeat traces from the trace memo, so the
+# byte-compare above covers memo hits too.
+grep -Eq '"trace_memo": \{ "hits": [1-9][0-9]*,' /tmp/ci_grid_parallel.json
 
 echo "==> crash-resume (kill mid-grid via fault plan; --resume must be byte-identical)"
 ft_dir="$(mktemp -d)"

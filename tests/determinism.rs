@@ -5,6 +5,7 @@
 //! join would scramble the rows. (`tests/grid_parallel.rs` additionally
 //! pins serial-vs-parallel equivalence across thread counts.)
 
+use thermometer_bench::figures::memo;
 use thermometer_bench::{figure_by_id, Scale};
 
 fn render(ids: &[&str], scale: &Scale) -> String {
@@ -27,6 +28,9 @@ fn figure_pipeline_is_byte_identical_across_runs() {
     let ids = ["fig01", "fig06", "fig09", "fig15"];
     let scale = Scale::smoke();
     let first = render(&ids, &scale);
+    // A cold memo, so the second render generates its traces again rather
+    // than reusing the first render's.
+    memo::reset();
     let second = render(&ids, &scale);
     assert!(!first.is_empty());
     assert_eq!(

@@ -11,6 +11,7 @@
 use std::sync::Mutex; // simlint: allow(D03) -- serializes tests that flip process-global config
 
 use sim_support::{forall, pool};
+use thermometer_bench::figures::memo;
 use thermometer_bench::{figure_by_id, grid, journal, merge, shard, Journal, Scale};
 
 /// Serializes the tests in this binary: they flip process-global executor
@@ -59,6 +60,9 @@ fn four_threads_match_one_thread_byte_for_byte() {
     pool::set_threads(1);
     let serial = render(&ids, &scale);
     pool::set_threads(4);
+    // A cold trace memo, so the 4 workers generate (and race for) every
+    // trace themselves instead of reading the serial run's.
+    memo::reset();
     let parallel = render(&ids, &scale);
 
     assert!(!serial.is_empty());

@@ -1,0 +1,56 @@
+//! The figure harness's trace memo (`thermometer_bench::figures::memo`,
+//! DESIGN.md §14) driven through real figures: its counts are exact
+//! functions of the figures run, and a figure served from the memo renders
+//! the same bytes as one that generated every trace itself.
+//!
+//! The memo is process-wide, so the tests here serialize on one mutex.
+
+use std::sync::Mutex; // simlint: allow(D03) -- serializes tests that share the process-wide trace memo
+
+use thermometer_bench::figures::memo;
+use thermometer_bench::{figure_by_id, Scale};
+
+// simlint: allow(D03) -- test-only serialization lock, not simulator state
+static EXCLUSIVE: Mutex<()> = Mutex::new(());
+
+fn render(id: &str, scale: &Scale) -> String {
+    figure_by_id(id, scale)
+        .expect("registered id")
+        .iter()
+        .map(|fig| fig.to_markdown())
+        .collect()
+}
+
+fn counts(scale: &Scale) -> (u64, u64) {
+    let stats = memo::stats(scale);
+    assert!(stats.enabled, "the memo is on at smoke scale");
+    (stats.misses, stats.hits)
+}
+
+#[test]
+fn counts_are_exact_per_figure() {
+    let _exclusive = EXCLUSIVE.lock().unwrap_or_else(|e| e.into_inner());
+    let scale = Scale::smoke();
+    memo::reset();
+    render("fig01", &scale);
+    assert_eq!(counts(&scale), (3, 0), "fig01: one test trace per app");
+    render("fig11", &scale);
+    assert_eq!(
+        counts(&scale),
+        (6, 3),
+        "fig11: a new train trace and a shared test trace per app"
+    );
+}
+
+#[test]
+fn warm_memo_renders_the_same_bytes_as_a_cold_one() {
+    let _exclusive = EXCLUSIVE.lock().unwrap_or_else(|e| e.into_inner());
+    let scale = Scale::smoke();
+    render("fig11", &scale);
+    memo::reset();
+    let cold = render("fig11", &scale);
+    let warm = render("fig11", &scale);
+    let (misses, hits) = counts(&scale);
+    assert_eq!(hits, misses, "the warm render generated nothing");
+    assert_eq!(cold, warm);
+}
