@@ -2,6 +2,13 @@
 //! model (TAGE + BTB + caches + timing). This bounds figure regeneration
 //! time — the Fig. 1/11 grids run ~100 of these simulations.
 //!
+//! The frontend's two layers run on the same kafka stream as `lru_sim`:
+//! `fetch_facts_build` (TAGE, RAS, IBTB and the I-cache walk, once per
+//! trace) and `frontend_replay_lru` (the BTB, timing and flush charging,
+//! once per policy over the stored facts). `lru_sim` is one
+//! `Frontend::run`, which builds the facts and replays them, so it costs
+//! about their sum (DESIGN.md §15).
+//!
 //! Also measures the figure grid itself (a smoke-scale `fig01`) serially
 //! and through the shared pool, so the scatter/gather overhead and the
 //! machine's actual speedup are on record next to the per-sim rate.
@@ -18,7 +25,7 @@ use sim_support::{pool, BenchHarness};
 use thermometer::pipeline::{Pipeline, PipelineConfig};
 use thermometer_bench::figures::memo;
 use thermometer_bench::{figure_by_id, Scale};
-use uarch_sim::{Frontend, FrontendConfig};
+use uarch_sim::{FetchFacts, Frontend, FrontendConfig};
 
 const STREAM_LEN: usize = 200_000;
 const RESULTS_DIR: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results");
@@ -37,6 +44,14 @@ fn main() {
     harness.bench("lru_sim", records, || {
         let mut fe = Frontend::new(FrontendConfig::table1(), Lru::new());
         black_box(fe.run(&trace, None))
+    });
+    harness.bench("fetch_facts_build", records, || {
+        black_box(FetchFacts::build(&trace))
+    });
+    let facts = FetchFacts::build(&trace);
+    harness.bench("frontend_replay_lru", records, || {
+        let mut fe = Frontend::new(FrontendConfig::table1(), Lru::new());
+        black_box(fe.replay(&trace, &facts, None))
     });
     let pipeline = Pipeline::new(PipelineConfig::default());
     harness.bench("full_pipeline_profile_plus_sim", records, || {
@@ -61,6 +76,11 @@ fn main() {
         memo::reset();
         black_box(figure_by_id("fig01", &smoke))
     });
+    harness.note(
+        "lru_sim is one Frontend::run, which is fetch_facts_build followed by \
+         frontend_replay_lru; a figure grid pays the build once per trace and the replay \
+         once per policy.",
+    );
     harness.note(&format!(
         "fig01_grid_pooled ran with {} worker thread(s); cells are independent, so \
          figures all --threads N scales with cores until cells per figure (3-13) are exhausted. \

@@ -3,7 +3,6 @@
 use btb_model::policies::BeladyOpt;
 use btb_model::reuse::ReuseAnalysis;
 use btb_model::BtbConfig;
-use btb_trace::NextUseOracle;
 use thermometer::analysis;
 use thermometer::pipeline::{Pipeline, PipelineConfig};
 use thermometer::{OptProfile, TemperatureConfig};
@@ -141,7 +140,7 @@ pub fn fig04(scale: &Scale) -> FigureResult {
                 btb_model::policies::Lru::new(),
             );
             let mut fe = Frontend::with_btb(config, shotgun);
-            fe.run(&trace, None).speedup_over(&lru)
+            fe.replay(&trace, trace.facts(), None).speedup_over(&lru)
         };
 
         let opt = pipeline.run_opt(&trace).speedup_over(&lru);
@@ -159,8 +158,8 @@ pub fn fig04(scale: &Scale) -> FigureResult {
         let shotgun_opt = {
             let shotgun = ShotgunBtb::new(config.btb, BeladyOpt::new(), BeladyOpt::new());
             let mut fe = Frontend::with_btb(config, shotgun);
-            let oracle = NextUseOracle::build(&trace);
-            fe.run(&trace, Some(&oracle)).speedup_over(&lru)
+            fe.replay(&trace, trace.facts(), Some(trace.oracle()))
+                .speedup_over(&lru)
         };
 
         let perfect = pipeline

@@ -11,7 +11,7 @@ use btb_model::BtbConfig;
 use btb_workloads::InputConfig;
 use thermometer::accuracy::measure_accuracy;
 use thermometer::pipeline::{Pipeline, PipelineConfig};
-use thermometer::{HolisticOnly, ThermometerPolicy};
+use thermometer::{HolisticOnly, PreparedTrace, ThermometerPolicy};
 
 use super::{test_trace, train_trace};
 use crate::per_app;
@@ -118,11 +118,13 @@ pub fn fig13(scale: &Scale) -> FigureResult {
         let mut rows = Vec::new();
         for input in 1..=3u32 {
             // Input #1 is every figure's test trace; #2 and #3 serve only
-            // this figure, once each, so they bypass the memo.
+            // this figure, once each, so they bypass the memo (but are still
+            // prepared once for this cell's five runs).
             let test = if input == 1 {
                 test_trace(spec, scale)
             } else {
-                Arc::new(spec.generate(InputConfig::input(input), scale.trace_len))
+                let trace = spec.generate(InputConfig::input(input), scale.trace_len);
+                Arc::new(PreparedTrace::new(trace))
             };
             let same_hints = pipeline.profile_to_hints(&test);
             let lru = pipeline.run_lru(&test);

@@ -17,7 +17,8 @@ use btb_trace::Trace;
 use thermometer::pipeline::{Pipeline, PipelineConfig};
 use thermometer::temperature::{default_candidates, two_fold_thresholds};
 use thermometer::{
-    HintTable, HolisticOnly, OptProfile, TemperatureConfig, ThermometerNoBypass, ThermometerPolicy,
+    HintTable, HolisticOnly, OptProfile, PreparedTrace, TemperatureConfig, ThermometerNoBypass,
+    ThermometerPolicy,
 };
 use uarch_sim::{Frontend, SimReport};
 
@@ -127,7 +128,7 @@ pub fn trrip_grid(scale: &Scale) -> FigureResult {
 fn run_hierarchy<B: BtbInterface>(
     pipeline: &Pipeline,
     btb: B,
-    trace: &Trace,
+    trace: &PreparedTrace,
     hints: Option<&HintTable>,
     label: &str,
 ) -> SimReport {
@@ -135,7 +136,7 @@ fn run_hierarchy<B: BtbInterface>(
     if let Some(h) = hints {
         fe.set_hints(h.to_map());
     }
-    let mut report = fe.run(trace, None);
+    let mut report = fe.replay(trace, trace.facts(), None);
     report.label = label.into();
     report
 }

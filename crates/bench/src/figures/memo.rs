@@ -1,11 +1,16 @@
 //! The trace memo: within one process, each application trace a figure
 //! asks for — keyed by (`AppSpec`, input, length) — is generated once and
-//! then shared as an `Arc<Trace>` by every figure and cell that asks again.
-//! DESIGN.md §14 has the full design.
+//! then shared as an `Arc<PreparedTrace>` by every figure and cell that
+//! asks again. DESIGN.md §14 has the full design.
+//!
+//! Sharing the prepared trace also shares what is built from it on first
+//! use: its fetch facts (the TAGE/RAS/IBTB/I-cache outcomes every frontend
+//! run replays, DESIGN.md §15) and its OPT next-use oracle.
 //!
 //! A trace is a pure function of its key: `AppSpec::generate` builds the
 //! program from the spec and seeds its executor from the spec and the input
-//! id alone. Serving a shared copy therefore changes no byte of any figure.
+//! id alone, and the facts and oracle are pure functions of the trace.
+//! Serving a shared copy therefore changes no byte of any figure.
 //! The whole spec is compared, not its name, so two specs that share a name
 //! but differ in one parameter never alias.
 //!
@@ -17,24 +22,31 @@
 // simlint: allow(D03) -- guards the key list and its counts; values are pure functions of their keys
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
-use btb_trace::{BranchRecord, Trace};
+use btb_trace::BranchRecord;
 use btb_workloads::{AppSpec, InputConfig};
+use thermometer::PreparedTrace;
 
 use crate::scale::Scale;
 
-/// The largest working set the memo may hold, in bytes of branch records.
+/// The largest working set the memo may hold, in bytes.
 pub(crate) const CAP_BYTES: usize = 256 << 20;
 
+/// What one memoised record may cost at most: the branch record itself,
+/// the two `u64`s it adds to the OPT oracle if it is a taken branch, and
+/// its fetch facts — one byte, plus one per block fetch that missed L1I
+/// (at most 1.4 per record on the built-in workloads, at any length the
+/// cap admits).
+const BYTES_PER_RECORD: usize =
+    std::mem::size_of::<BranchRecord>() + 2 * std::mem::size_of::<u64>() + 3;
+
 /// Whether `scale`'s working set — one train and one test trace per
-/// application, `apps × 2 × trace_len × size_of::<BranchRecord>()` bytes —
-/// fits under [`CAP_BYTES`]. At 12 apps × 10,000 records it is 5.8 MB and
-/// the memo is on; at the paper's 13 apps × 2,000,000 records it is
-/// 1.25 GB and every trace is generated afresh.
+/// application with their oracles and facts,
+/// `apps × 2 × trace_len × BYTES_PER_RECORD` bytes — fits under
+/// [`CAP_BYTES`]. At 12 apps × 10,000 records it is 10.3 MB and the memo
+/// is on; at the paper's 13 apps × 2,000,000 records it is 2.2 GB and
+/// every trace is generated afresh.
 pub(crate) fn enabled(scale: &Scale) -> bool {
-    let bytes = scale.apps.len() as u128
-        * 2
-        * scale.trace_len as u128
-        * std::mem::size_of::<BranchRecord>() as u128;
+    let bytes = scale.apps.len() as u128 * 2 * scale.trace_len as u128 * BYTES_PER_RECORD as u128;
     bytes <= CAP_BYTES as u128
 }
 
@@ -47,6 +59,10 @@ pub struct Stats {
     pub hits: u64,
     /// Requests that generated their trace.
     pub misses: u64,
+    /// Memoised traces whose fetch facts were built (at most `misses`:
+    /// each trace builds its facts once, however many runs replay them).
+    /// Deterministic for a given set of figures, but telemetry only.
+    pub facts_builds: u64,
     /// Whether the memo is on at the run's scale (`enabled`).
     pub enabled: bool,
 }
@@ -57,6 +73,7 @@ pub fn stats(scale: &Scale) -> Stats {
     Stats {
         hits: inner.hits,
         misses: inner.misses,
+        facts_builds: inner.facts_builds(),
         enabled: enabled(scale),
     }
 }
@@ -73,11 +90,11 @@ pub fn reset() {
 
 /// The trace of `spec` on `input` at `scale.trace_len` records: from the
 /// process-wide memo when [`enabled`], freshly generated otherwise.
-pub(crate) fn trace(spec: &AppSpec, input: InputConfig, scale: &Scale) -> Arc<Trace> {
+pub(crate) fn trace(spec: &AppSpec, input: InputConfig, scale: &Scale) -> Arc<PreparedTrace> {
     if enabled(scale) {
         MEMO.get(spec, input, scale.trace_len)
     } else {
-        Arc::new(spec.generate(input, scale.trace_len))
+        Arc::new(PreparedTrace::new(spec.generate(input, scale.trace_len)))
     }
 }
 
@@ -88,7 +105,7 @@ struct Entry {
     spec: AppSpec,
     input: InputConfig,
     len: usize,
-    slot: Arc<OnceLock<Arc<Trace>>>,
+    slot: Arc<OnceLock<Arc<PreparedTrace>>>,
 }
 
 struct Inner {
@@ -97,6 +114,13 @@ struct Inner {
     entries: Vec<Entry>,
     hits: u64,
     misses: u64,
+}
+
+impl Inner {
+    fn facts_builds(&self) -> u64 {
+        let built = self.entries.iter().filter_map(|e| e.slot.get());
+        built.filter(|trace| trace.has_facts()).count() as u64
+    }
 }
 
 struct TraceMemo {
@@ -126,7 +150,7 @@ impl TraceMemo {
     /// Generation never calls into the pool, so that wait cannot deadlock,
     /// and a generation that panics leaves the slot empty for the next
     /// request to fill.
-    fn get(&self, spec: &AppSpec, input: InputConfig, len: usize) -> Arc<Trace> {
+    fn get(&self, spec: &AppSpec, input: InputConfig, len: usize) -> Arc<PreparedTrace> {
         let slot = {
             let mut inner = self.lock();
             let found = inner
@@ -149,7 +173,7 @@ impl TraceMemo {
         let mut generated = false;
         let trace = Arc::clone(slot.get_or_init(|| {
             generated = true;
-            Arc::new(spec.generate(input, len))
+            Arc::new(PreparedTrace::new(spec.generate(input, len)))
         }));
         let mut inner = self.lock();
         if generated {
@@ -184,7 +208,7 @@ mod tests {
         let again = memo.get(&kafka(), InputConfig::input(1), LEN);
         assert!(Arc::ptr_eq(&first, &again));
         assert_eq!(counts(&memo), (1, 1));
-        assert_eq!(*first, kafka().generate(InputConfig::input(1), LEN));
+        assert_eq!(**first, kafka().generate(InputConfig::input(1), LEN));
     }
 
     #[test]
@@ -213,7 +237,7 @@ mod tests {
         let memo = TraceMemo::new();
         let spec = kafka();
         let start = Barrier::new(2);
-        let traces: Vec<Arc<Trace>> = std::thread::scope(|s| {
+        let traces: Vec<Arc<PreparedTrace>> = std::thread::scope(|s| {
             let workers: Vec<_> = (0..2)
                 .map(|_| {
                     s.spawn(|| {

@@ -18,8 +18,8 @@ use std::sync::Arc;
 
 use crate::scale::Scale;
 use crate::text::FigureResult;
-use btb_trace::Trace;
 use btb_workloads::{AppSpec, InputConfig};
+use thermometer::PreparedTrace;
 
 /// All figure ids in paper order, plus the extension experiments.
 pub const FIGURE_IDS: [&str; 24] = [
@@ -95,16 +95,16 @@ pub fn all_figures(scale: &Scale) -> Vec<FigureResult> {
 
 /// The training trace (input `#0`) for an application, shared through the
 /// [trace memo](memo).
-pub(crate) fn train_trace(spec: &AppSpec, scale: &Scale) -> Arc<Trace> {
+pub(crate) fn train_trace(spec: &AppSpec, scale: &Scale) -> Arc<PreparedTrace> {
     app_trace(spec, InputConfig::input(0), scale)
 }
 
 /// The default test trace (input `#1`), shared through the [trace memo](memo).
-pub(crate) fn test_trace(spec: &AppSpec, scale: &Scale) -> Arc<Trace> {
+pub(crate) fn test_trace(spec: &AppSpec, scale: &Scale) -> Arc<PreparedTrace> {
     app_trace(spec, InputConfig::input(1), scale)
 }
 
-fn app_trace(spec: &AppSpec, input: InputConfig, scale: &Scale) -> Arc<Trace> {
+fn app_trace(spec: &AppSpec, input: InputConfig, scale: &Scale) -> Arc<PreparedTrace> {
     let trace = memo::trace(spec, input, scale);
     // Credited on hits too: a cell's accesses count the records it
     // simulates, whoever generated them.

@@ -4,7 +4,7 @@ use btb_model::BtbConfig;
 use btb_trace::Trace;
 use btb_workloads::AppSpec;
 use thermometer::pipeline::{Pipeline, PipelineConfig};
-use thermometer::TemperatureConfig;
+use thermometer::{PreparedTrace, TemperatureConfig};
 use uarch_sim::prefetch::TwigPrefetcher;
 use uarch_sim::FrontendConfig;
 
@@ -32,7 +32,7 @@ fn sweep_apps(scale: &Scale) -> Vec<AppSpec> {
 
 /// Thermometer's and SRRIP's speedups as a percentage of OPT's, for one
 /// pipeline configuration.
-fn pct_of_opt(pipeline: &Pipeline, train: &Trace, test: &Trace) -> (f64, f64) {
+fn pct_of_opt(pipeline: &Pipeline, train: &Trace, test: &PreparedTrace) -> (f64, f64) {
     let hints = pipeline.profile_to_hints(train);
     let lru = pipeline.run_lru(test);
     let opt = pipeline.run_opt(test).speedup_over(&lru);

@@ -1,5 +1,7 @@
 //! Figures 17–18: the CBP-5 and IPC-1 trace-suite validation.
 
+use std::sync::Arc;
+
 use btb_model::BtbConfig;
 use btb_trace::Trace;
 use btb_workloads::{cbp5_suite, ipc1_suite, SuiteParams};
@@ -22,6 +24,12 @@ const PERCENTILES: [(f64, &str); 7] = [
     (1.0, "max"),
 ];
 
+/// Moves each suite trace behind an `Arc`, so a cell can prepare it
+/// without copying its records.
+fn shared(traces: Vec<Trace>) -> Vec<Arc<Trace>> {
+    traces.into_iter().map(Arc::new).collect()
+}
+
 fn percentile(sorted: &[f64], q: f64) -> f64 {
     if sorted.is_empty() {
         return 0.0;
@@ -33,7 +41,7 @@ fn percentile(sorted: &[f64], q: f64) -> f64 {
 /// Fig. 17: BTB miss reduction of Thermometer over GHRP on the CBP-5-style
 /// suite, with fixed (50/80) and two-fold cross-validated thresholds.
 pub fn fig17(scale: &Scale) -> FigureResult {
-    let traces = cbp5_suite(SuiteParams::new(scale.cbp_count, scale.cbp_len));
+    let traces = shared(cbp5_suite(SuiteParams::new(scale.cbp_count, scale.cbp_len)));
     let pipeline = Pipeline::new(PipelineConfig::default());
 
     let per_trace: Vec<(f64, f64, f64)> = per_app_traces("fig17", &traces, |trace| {
@@ -116,7 +124,10 @@ pub fn fig17(scale: &Scale) -> FigureResult {
 
 /// Fig. 18: IPC speedup over LRU on the IPC-1-style suite.
 pub fn fig18(scale: &Scale) -> FigureResult {
-    let traces = ipc1_suite(SuiteParams::new(scale.ipc1_count, scale.ipc1_len));
+    let traces = shared(ipc1_suite(SuiteParams::new(
+        scale.ipc1_count,
+        scale.ipc1_len,
+    )));
     let pipeline = Pipeline::new(PipelineConfig::default());
 
     let per_trace: Vec<(Vec<f64>, f64)> = per_app_traces("fig18", &traces, |trace| {

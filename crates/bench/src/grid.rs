@@ -423,8 +423,9 @@ pub fn write_grid_stats(
         ));
     }
     out.push_str(&format!(
-        "  \"trace_memo\": {{ \"hits\": {}, \"misses\": {}, \"enabled\": {} }},\n",
-        trace_memo.hits, trace_memo.misses, trace_memo.enabled
+        "  \"trace_memo\": {{ \"hits\": {}, \"misses\": {}, \"facts_builds\": {}, \
+         \"enabled\": {} }},\n",
+        trace_memo.hits, trace_memo.misses, trace_memo.facts_builds, trace_memo.enabled
     ));
     out.push_str("  \"notes\": [\n");
     for (i, note) in notes.iter().enumerate() {

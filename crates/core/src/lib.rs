@@ -54,6 +54,7 @@ pub mod incremental;
 pub mod pipeline;
 pub mod policy;
 pub mod policy_kind;
+pub mod prepared;
 pub mod profile;
 pub mod temperature;
 
@@ -62,5 +63,6 @@ pub use incremental::IncrementalProfiler;
 pub use pipeline::{Pipeline, PipelineConfig};
 pub use policy::{HolisticOnly, ThermometerNoBypass, ThermometerPolicy};
 pub use policy_kind::PolicyKind;
+pub use prepared::{PreparedTrace, SimInput};
 pub use profile::{BranchCounters, OptProfile};
 pub use temperature::{Temperature, TemperatureConfig};

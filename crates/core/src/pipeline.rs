@@ -6,13 +6,14 @@
 //! any trace with consistent settings.
 
 use btb_model::policies::{BeladyOpt, Ghrp, GhrpConfig, Hawkeye, HawkeyeConfig, Lru, Srrip};
-use btb_model::{BtbConfig, ReplacementPolicy};
-use btb_trace::{NextUseOracle, Trace};
+use btb_model::{BtbConfig, BtbInterface, ReplacementPolicy};
+use btb_trace::Trace;
 use uarch_sim::{Frontend, FrontendConfig, PerfectOptions, SimReport};
 
 use crate::hints::HintTable;
 use crate::policy::ThermometerPolicy;
 use crate::policy_kind::PolicyKind;
+use crate::prepared::SimInput;
 use crate::profile::OptProfile;
 use crate::temperature::TemperatureConfig;
 
@@ -62,6 +63,11 @@ pub const POLICY_NAMES: [&str; 12] = [
 ];
 
 /// The profile-guided workflow plus baseline runners.
+///
+/// Every `run_*` entry point takes a [`SimInput`]: pass a
+/// [`PreparedTrace`](crate::PreparedTrace) to share its fetch facts and
+/// OPT oracle across runs, or a bare [`Trace`] for a one-off run. The
+/// reports are identical either way.
 #[derive(Clone, Debug, Default)]
 pub struct Pipeline {
     config: PipelineConfig,
@@ -89,7 +95,7 @@ impl Pipeline {
     }
 
     /// Step 4: simulate the test trace under Thermometer with `hints`.
-    pub fn run_thermometer(&self, trace: &Trace, hints: &HintTable) -> SimReport {
+    pub fn run_thermometer(&self, trace: &impl SimInput, hints: &HintTable) -> SimReport {
         self.run_thermometer_detailed(trace, hints).0
     }
 
@@ -97,12 +103,12 @@ impl Pipeline {
     /// coverage counters (paper Fig. 15).
     pub fn run_thermometer_detailed(
         &self,
-        trace: &Trace,
+        trace: &impl SimInput,
         hints: &HintTable,
     ) -> (SimReport, crate::policy::CoverageCounters) {
         let mut fe = Frontend::new(self.config.frontend, ThermometerPolicy::new());
         fe.set_hints(hints.to_map());
-        let mut report = fe.run(trace, None);
+        let mut report = simulate(&mut fe, trace, false);
         report.label = "Thermometer".into();
         let coverage = fe.btb().policy().coverage();
         (report, coverage)
@@ -113,7 +119,7 @@ impl Pipeline {
     /// `"{policy}+{prefetcher}"` when a prefetcher is attached.
     pub fn run_custom<P: ReplacementPolicy>(
         &self,
-        trace: &Trace,
+        trace: &impl SimInput,
         policy: P,
         hints: Option<&HintTable>,
         with_oracle: bool,
@@ -131,46 +137,44 @@ impl Pipeline {
         if let Some(p) = prefetcher {
             fe.set_prefetcher(p);
         }
-        let oracle = with_oracle.then(|| NextUseOracle::build(trace));
-        let mut report = fe.run(trace, oracle.as_ref());
+        let mut report = simulate(&mut fe, trace, with_oracle);
         report.label = label;
         report
     }
 
     /// Runs an arbitrary policy (no hints, no oracle).
-    pub fn run_policy<P: ReplacementPolicy>(&self, trace: &Trace, policy: P) -> SimReport {
+    pub fn run_policy<P: ReplacementPolicy>(&self, trace: &impl SimInput, policy: P) -> SimReport {
         let label = policy.name();
         let mut fe = Frontend::new(self.config.frontend, policy);
-        let mut report = fe.run(trace, None);
+        let mut report = simulate(&mut fe, trace, false);
         report.label = label.into();
         report
     }
 
     /// The LRU baseline every figure normalizes against.
-    pub fn run_lru(&self, trace: &Trace) -> SimReport {
+    pub fn run_lru(&self, trace: &impl SimInput) -> SimReport {
         self.run_policy(trace, Lru::new())
     }
 
     /// SRRIP (best prior work in the paper).
-    pub fn run_srrip(&self, trace: &Trace) -> SimReport {
+    pub fn run_srrip(&self, trace: &impl SimInput) -> SimReport {
         self.run_policy(trace, Srrip::new())
     }
 
     /// GHRP (the prior BTB-specific policy).
-    pub fn run_ghrp(&self, trace: &Trace) -> SimReport {
+    pub fn run_ghrp(&self, trace: &impl SimInput) -> SimReport {
         self.run_policy(trace, Ghrp::new(GhrpConfig::default()))
     }
 
     /// Hawkeye adapted to the BTB.
-    pub fn run_hawkeye(&self, trace: &Trace) -> SimReport {
+    pub fn run_hawkeye(&self, trace: &impl SimInput) -> SimReport {
         self.run_policy(trace, Hawkeye::new(HawkeyeConfig::default()))
     }
 
-    /// Belady's OPT (builds the oracle internally).
-    pub fn run_opt(&self, trace: &Trace) -> SimReport {
-        let oracle = NextUseOracle::build(trace);
+    /// Belady's OPT, with the input's next-use oracle.
+    pub fn run_opt(&self, trace: &impl SimInput) -> SimReport {
         let mut fe = Frontend::new(self.config.frontend, BeladyOpt::new());
-        let mut report = fe.run(trace, Some(&oracle));
+        let mut report = simulate(&mut fe, trace, true);
         report.label = "OPT".into();
         report
     }
@@ -187,7 +191,7 @@ impl Pipeline {
     /// per policy type.
     pub fn run_named(
         &self,
-        trace: &Trace,
+        trace: &impl SimInput,
         name: &str,
         hints: Option<&HintTable>,
     ) -> Option<SimReport> {
@@ -199,28 +203,24 @@ impl Pipeline {
             let hints = match hints {
                 Some(h) => h,
                 None => {
-                    own_hints = self.profile_to_hints(trace);
+                    own_hints = self.profile_to_hints(trace.as_trace());
                     &own_hints
                 }
             };
             fe.set_hints(hints.to_map());
         }
-        let oracle = fe
-            .btb()
-            .policy()
-            .needs_oracle()
-            .then(|| NextUseOracle::build(trace));
-        let mut report = fe.run(trace, oracle.as_ref());
+        let with_oracle = fe.btb().policy().needs_oracle();
+        let mut report = simulate(&mut fe, trace, with_oracle);
         report.label = label.into();
         Some(report)
     }
 
     /// A limit-study run (Fig. 2): LRU replacement with perfect structures.
-    pub fn run_perfect(&self, trace: &Trace, perfect: PerfectOptions) -> SimReport {
+    pub fn run_perfect(&self, trace: &impl SimInput, perfect: PerfectOptions) -> SimReport {
         let mut config = self.config.frontend;
         config.perfect = perfect;
         let mut fe = Frontend::new(config, Lru::new());
-        let mut report = fe.run(trace, None);
+        let mut report = simulate(&mut fe, trace, false);
         report.label = match (perfect.btb, perfect.branch_predictor, perfect.icache) {
             (true, false, false) => "Perfect-BTB".into(),
             (false, true, false) => "Perfect-BP".into(),
@@ -237,6 +237,17 @@ impl Pipeline {
         config.frontend.btb = btb;
         Pipeline::new(config)
     }
+}
+
+/// Simulates `input` through `fe` over the input's fetch facts, with its
+/// next-use oracle when `with_oracle`.
+fn simulate<B: BtbInterface>(
+    fe: &mut Frontend<B>,
+    input: &impl SimInput,
+    with_oracle: bool,
+) -> SimReport {
+    let oracle = with_oracle.then(|| input.next_use_oracle());
+    fe.replay(input.as_trace(), &input.fetch_facts(), oracle.as_deref())
 }
 
 #[cfg(test)]

@@ -920,17 +920,45 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     hash
 }
 
+/// Test-only exclusive hold on the process-global fault state.
+///
+/// The plan and the armed process fault are process-wide, and the test
+/// harness runs tests on parallel threads: a test that installs a plan must
+/// hold this guard for its whole body, so no other test's plan replaces or
+/// clears it mid-assertion. Dropping the guard clears the state (even when
+/// an assertion failed) before releasing the lock.
+#[cfg(test)]
+pub(crate) struct ClearPlan {
+    _exclusive: std::sync::MutexGuard<'static, ()>,
+}
+
+#[cfg(test)]
+impl ClearPlan {
+    /// Waits for every other plan-installing test to finish, then starts
+    /// from a clean state.
+    pub(crate) fn exclusive() -> Self {
+        // simlint: allow(D03) -- test-only serialization of the global plan, never compiled into the library
+        static EXCLUSIVE: Mutex<()> = Mutex::new(());
+        // A test that panicked while holding the lock still cleared the
+        // state in `drop`, so a poisoned lock guards a clean state.
+        let exclusive = EXCLUSIVE.lock().unwrap_or_else(|e| e.into_inner());
+        clear();
+        Self {
+            _exclusive: exclusive,
+        }
+    }
+}
+
+#[cfg(test)]
+impl Drop for ClearPlan {
+    fn drop(&mut self) {
+        clear();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Restores a clean global plan state even when an assertion fails.
-    struct ClearPlan;
-    impl Drop for ClearPlan {
-        fn drop(&mut self) {
-            clear();
-        }
-    }
 
     #[test]
     fn isolated_returns_value_first_try() {
@@ -1015,7 +1043,7 @@ mod tests {
 
     #[test]
     fn installed_plan_panics_targeted_cells_only() {
-        let _guard = ClearPlan;
+        let _guard = ClearPlan::exclusive();
         install(FaultPlan::parse("panic=unit:1:transient").unwrap());
         cell_attempt("unit", 0, 0); // untargeted: no panic
         cell_attempt("unit", 1, 1); // transient fires on attempt 0 only
@@ -1034,7 +1062,7 @@ mod tests {
 
     #[test]
     fn io_faults_fail_first_k_attempts_on_matching_paths() {
-        let _guard = ClearPlan;
+        let _guard = ClearPlan::exclusive();
         install(FaultPlan::parse("io=grid_stats:2").unwrap());
         assert!(io_fault("results/figures.md").is_none(), "pattern mismatch");
         let first = io_fault("results/grid_stats.json").expect("attempt 1 fails");
@@ -1167,7 +1195,7 @@ mod tests {
 
     #[test]
     fn arming_below_threshold_is_inert_and_disarm_clears() {
-        let _guard = ClearPlan;
+        let _guard = ClearPlan::exclusive();
         arm_proc_fault(
             ProcFault {
                 kind: ProcFaultKind::Die,

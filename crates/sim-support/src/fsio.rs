@@ -340,13 +340,7 @@ mod tests {
 
     #[test]
     fn transient_faults_retry_with_backoff_then_succeed() {
-        struct ClearPlan;
-        impl Drop for ClearPlan {
-            fn drop(&mut self) {
-                fault::clear();
-            }
-        }
-        let _guard = ClearPlan;
+        let _guard = fault::ClearPlan::exclusive();
         let path = scratch("backoff.json");
         // Three injected transient failures: attempts 1-3 fail, attempt 4
         // succeeds. The retry loop must absorb them (sleeping 1+2+4 ms along
@@ -364,13 +358,7 @@ mod tests {
 
     #[test]
     fn injected_io_faults_are_retried_away() {
-        struct ClearPlan;
-        impl Drop for ClearPlan {
-            fn drop(&mut self) {
-                fault::clear();
-            }
-        }
-        let _guard = ClearPlan;
+        let _guard = fault::ClearPlan::exclusive();
         let path = scratch("faulted.json");
         fault::install(FaultPlan::parse("io=faulted.json:2").unwrap());
         let err = write_atomic(&path, b"x").unwrap_err();

@@ -16,6 +16,12 @@
 //!    flush > target flush > BTB-miss re-steer), and any squash zeroes the
 //!    lead.
 //!
+//! TAGE, the RAS, the IBTB and the I-cache never read the BTB, so their
+//! outcomes — the [`FetchFacts`] — are computed once per trace. The one
+//! simulation loop, [`Frontend::replay`], reads each record's facts
+//! alongside the BTB it owns; [`Frontend::run`] builds the facts and
+//! replays them.
+//!
 //! The per-branch Thermometer hint (if a hint table is installed) rides
 //! into the BTB through [`AccessContext::hint`].
 
@@ -27,10 +33,9 @@ use btb_model::{
 };
 use btb_trace::{next_use::NEVER, BranchKind, NextUseOracle, Trace};
 
-use crate::cache::{HitLevel, InstrHierarchy, BLOCK_BYTES};
-use crate::ibtb::Ibtb;
+use crate::cache::HitLevel;
+use crate::facts::FetchFacts;
 use crate::prefetch::Prefetcher;
-use crate::ras::Ras;
 use crate::report::SimReport;
 use crate::timing::TimingConfig;
 
@@ -77,10 +82,6 @@ impl Default for FrontendConfig {
 pub struct Frontend<B> {
     config: FrontendConfig,
     btb: B,
-    tage: crate::tage::Tage,
-    ras: Ras,
-    ibtb: Ibtb,
-    icache: InstrHierarchy,
     prefetcher: Option<Box<dyn Prefetcher>>,
     /// Looked up per branch record (hot); never iterated, so the seeded
     /// O(1) map is safe.
@@ -106,10 +107,6 @@ impl<B: BtbInterface> Frontend<B> {
         Self {
             config,
             btb,
-            tage: crate::tage::Tage::new(),
-            ras: Ras::table1(),
-            ibtb: Ibtb::table1(),
-            icache: InstrHierarchy::table1(),
             prefetcher: None,
             hints: None,
         }
@@ -135,9 +132,35 @@ impl<B: BtbInterface> Frontend<B> {
     /// must pass the trace's [`NextUseOracle`]; online policies pass `None`.
     ///
     /// A `Frontend` is single-shot: construct a fresh one per run (learned
-    /// predictor state would otherwise leak across runs).
+    /// BTB and prefetcher state would otherwise leak across runs).
     pub fn run(&mut self, trace: &Trace, oracle: Option<&NextUseOracle>) -> SimReport {
+        self.replay(trace, &FetchFacts::build(trace), oracle)
+    }
+
+    /// [`Frontend::run`] over precomputed [`FetchFacts`]: the same report
+    /// as `run`, bit for bit, without re-simulating TAGE, the RAS, the
+    /// IBTB and the I-cache. Callers that simulate one trace under several
+    /// BTBs, policies or timing configurations build the facts once and
+    /// replay them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `facts` describes a trace of a different length; facts
+    /// must come from `FetchFacts::build(trace)`.
+    pub fn replay(
+        &mut self,
+        trace: &Trace,
+        facts: &FetchFacts,
+        oracle: Option<&NextUseOracle>,
+    ) -> SimReport {
+        assert_eq!(
+            facts.len(),
+            trace.len(),
+            "fetch facts describe a different trace than {}",
+            trace.name()
+        );
         let t = self.config.timing;
+        let perfect = self.config.perfect;
         let max_lead = t.max_lead();
         let mut report = SimReport {
             workload: trace.name().to_owned(),
@@ -147,12 +170,20 @@ impl<B: BtbInterface> Frontend<B> {
         let mut cycles = 0.0f64;
         let mut lead = 0.0f64; // run-ahead shield, cycles
         let mut access_index: u64 = 0; // position in the taken stream
+        let mut facts_iter = facts.iter();
 
         // Division by a power of two is exact, and so is multiplying by its
         // (exactly representable) reciprocal — bit-identical results without
         // a per-record divide. Non-power-of-two widths keep the division.
         let fetch_width = f64::from(t.fetch_width);
         let inv_fetch_width = (t.fetch_width.is_power_of_two()).then(|| 1.0 / fetch_width);
+        // Fetch latency by where the block hit: L1 hits cost nothing.
+        let latency_of = |level: HitLevel| match level {
+            HitLevel::L1 => 0,
+            HitLevel::L2 => t.l2_latency,
+            HitLevel::Llc => t.llc_latency,
+            HitLevel::Memory => t.memory_latency,
+        };
 
         for r in trace.records() {
             let insts = u64::from(r.inst_gap) + 1;
@@ -167,60 +198,43 @@ impl<B: BtbInterface> Frontend<B> {
             // shrinks on branchy code.
             lead = (lead + base - t.bpu_cycles_per_branch).clamp(0.0, max_lead);
 
-            // --- I-cache walk over the record's instruction range ---
-            if !self.config.perfect.icache {
-                let start = r.pc.saturating_sub(u64::from(r.inst_gap) * 4);
-                let first_block = start / BLOCK_BYTES;
-                let last_block = r.pc / BLOCK_BYTES;
-                let mut block = first_block;
-                while block <= last_block {
-                    let level = self.icache.fetch_block(block);
-                    block += 1;
-                    let latency = match level {
-                        HitLevel::L1 => 0,
-                        HitLevel::L2 => t.l2_latency,
-                        HitLevel::Llc => t.llc_latency,
-                        HitLevel::Memory => t.memory_latency,
+            // --- I-cache: the record's block fetches that missed L1I, in
+            // walk order (L1 hits cost nothing) ---
+            let fact = facts_iter.next_facts(|level| {
+                let latency = latency_of(level);
+                if latency > 0 && !perfect.icache {
+                    // With the shield up, the FTQ's prefetches overlap:
+                    // a miss stream costs latency/mlp per block. With
+                    // the shield down (right after a squash) the first
+                    // block is a serialized demand miss.
+                    let effective = if lead > 0.0 {
+                        f64::from(latency) / f64::from(t.prefetch_mlp)
+                    } else {
+                        f64::from(latency)
                     };
-                    if latency > 0 {
-                        // With the shield up, the FTQ's prefetches overlap:
-                        // a miss stream costs latency/mlp per block. With
-                        // the shield down (right after a squash) the first
-                        // block is a serialized demand miss.
-                        let effective = if lead > 0.0 {
-                            f64::from(latency) / f64::from(t.prefetch_mlp)
-                        } else {
-                            f64::from(latency)
-                        };
-                        let stall = (effective - lead).max(0.0);
-                        cycles += stall;
-                        report.icache_stall_cycles += stall;
-                        // Fetch stalled while the BPU kept running: the
-                        // shield regrows by the stall we just served.
-                        lead = (lead + stall).min(max_lead);
-                    }
+                    let stall = (effective - lead).max(0.0);
+                    cycles += stall;
+                    report.icache_stall_cycles += stall;
+                    // Fetch stalled while the BPU kept running: the
+                    // shield regrows by the stall we just served.
+                    lead = (lead + stall).min(max_lead);
                 }
-            }
+            });
 
             // --- Branch prediction events ---
             let mut direction_flush = false;
             if r.kind.is_conditional() {
                 report.cond_branches += 1;
-                let pred = self.tage.predict(r.pc);
-                let mispredicted = pred.taken != r.taken;
-                self.tage.update(r.pc, r.taken, pred);
-                if mispredicted && !self.config.perfect.branch_predictor {
+                if fact.mispredicted() && !perfect.branch_predictor {
                     report.cond_mispredicts += 1;
                     direction_flush = true;
                 }
-            } else {
-                self.tage.note_taken_transfer(r.pc);
             }
 
             let mut target_flush = false;
             let mut btb_missed = false;
             if r.taken {
-                let outcome = if self.config.perfect.btb {
+                let outcome = if perfect.btb {
                     report.btb.accesses += 1;
                     report.btb.hits += 1;
                     AccessOutcome::Hit {
@@ -273,19 +287,14 @@ impl<B: BtbInterface> Frontend<B> {
                 match r.kind {
                     BranchKind::IndirectJump | BranchKind::IndirectCall => {
                         report.indirect_branches += 1;
-                        if !btb_missed {
-                            let predicted = self.ibtb.predict(r.pc);
-                            if predicted != Some(r.target) {
-                                report.indirect_mispredicts += 1;
-                                target_flush = true;
-                            }
+                        if !btb_missed && fact.target_missed() {
+                            report.indirect_mispredicts += 1;
+                            target_flush = true;
                         }
-                        self.ibtb.update(r.pc, r.target);
                     }
                     BranchKind::Return => {
                         report.returns += 1;
-                        let predicted = self.ras.pop();
-                        if !btb_missed && predicted != Some(r.target) {
+                        if !btb_missed && fact.target_missed() {
                             report.return_mispredicts += 1;
                             target_flush = true;
                         }
@@ -300,9 +309,6 @@ impl<B: BtbInterface> Frontend<B> {
                             target_flush = true;
                         }
                     }
-                }
-                if r.kind.is_call() {
-                    self.ras.push(r.pc + 4);
                 }
             }
 
@@ -324,12 +330,14 @@ impl<B: BtbInterface> Frontend<B> {
         }
 
         report.cycles = cycles;
-        if !self.config.perfect.btb {
+        if !perfect.btb {
             report.btb = self.btb.stats();
         }
-        report.l1i_misses = self.icache.l1i.misses;
-        report.l2i_misses = self.icache.l2.misses;
-        report.llc_misses = self.icache.llc.misses;
+        if !perfect.icache {
+            report.l1i_misses = facts.l1i_misses();
+            report.l2i_misses = facts.l2i_misses();
+            report.llc_misses = facts.llc_misses();
+        }
         report
     }
 }
@@ -338,9 +346,9 @@ impl<B: BtbInterface> Frontend<B> {
 /// prefetcher installs entries with their true temperature rather than the
 /// coldest category (which Thermometer would otherwise evict or reject
 /// immediately).
-struct HintedBtb<'a, B> {
-    btb: &'a mut B,
-    hints: Option<&'a DetHashMap<u64, u8>>,
+pub(crate) struct HintedBtb<'a, B> {
+    pub(crate) btb: &'a mut B,
+    pub(crate) hints: Option<&'a DetHashMap<u64, u8>>,
 }
 
 impl<B: BtbInterface> BtbInterface for HintedBtb<'_, B> {

@@ -17,12 +17,21 @@
 //! with constant penalties — DESIGN.md §2 explains why this preserves the
 //! paper's *relative* speedups.
 //!
+//! The frontend is split along the one line the paper's methodology draws:
+//! TAGE, the RAS, the IBTB and the I-cache hierarchy never read the BTB, so
+//! what they decide on a trace is computed once as [`FetchFacts`]
+//! (DESIGN.md §15). A [`Frontend`] owns only the BTB, the hint table and an
+//! optional BTB prefetcher; [`Frontend::replay`] simulates a trace over its
+//! stored facts, and [`Frontend::run`] builds them and replays. Replaying
+//! one set of facts under many BTBs, policies or timing configurations
+//! gives the reports that many fresh runs would, bit for bit.
+//!
 //! # Examples
 //!
 //! ```
 //! use btb_model::policies::Lru;
 //! use btb_trace::{BranchKind, BranchRecord, Trace};
-//! use uarch_sim::{Frontend, FrontendConfig};
+//! use uarch_sim::{FetchFacts, Frontend, FrontendConfig};
 //!
 //! let mut trace = Trace::new("demo");
 //! for i in 0..100u64 {
@@ -32,17 +41,25 @@
 //! let report = frontend.run(&trace, None);
 //! assert_eq!(report.instructions, trace.instruction_count());
 //! assert!(report.ipc() > 0.0);
+//!
+//! // The predictors' and I-cache's outcomes, once, for any number of runs.
+//! let facts = FetchFacts::build(&trace);
+//! let again = Frontend::new(FrontendConfig::table1(), Lru::new()).replay(&trace, &facts, None);
+//! assert_eq!(again, report);
 //! ```
 
 pub mod cache;
+pub mod facts;
 pub mod frontend;
 pub mod ibtb;
 pub mod prefetch;
 pub mod ras;
+pub mod reference;
 pub mod report;
 pub mod tage;
 pub mod timing;
 
+pub use facts::FetchFacts;
 pub use frontend::{Frontend, FrontendConfig, PerfectOptions};
 pub use report::SimReport;
 pub use timing::TimingConfig;

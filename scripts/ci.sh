@@ -46,6 +46,15 @@ cmp /tmp/ci_serial.md /tmp/ci_parallel.md
 # The parallel run served repeat traces from the trace memo, so the
 # byte-compare above covers memo hits too.
 grep -Eq '"trace_memo": \{ "hits": [1-9][0-9]*,' /tmp/ci_grid_parallel.json
+# Every simulated memo trace built its fetch facts once: at least one was
+# built, and never more than one per generated trace.
+read -r _ memo_misses facts_builds < <(grep -Eo \
+    '"trace_memo": \{ "hits": [0-9]+, "misses": [0-9]+, "facts_builds": [0-9]+' \
+    /tmp/ci_grid_parallel.json | grep -Eo '[0-9]+' | tr '\n' ' ')
+if ! (( facts_builds > 0 && facts_builds <= memo_misses )); then
+    echo "trace memo: facts_builds=${facts_builds:-?} misses=${memo_misses:-?}" >&2
+    exit 1
+fi
 
 echo "==> crash-resume (kill mid-grid via fault plan; --resume must be byte-identical)"
 ft_dir="$(mktemp -d)"

@@ -1,7 +1,8 @@
 //! The figure harness's trace memo (`thermometer_bench::figures::memo`,
 //! DESIGN.md §14) driven through real figures: its counts are exact
 //! functions of the figures run, and a figure served from the memo renders
-//! the same bytes as one that generated every trace itself.
+//! the same bytes as one that generated every trace itself. Each memoised
+//! trace's fetch facts are built once and shared the same way.
 //!
 //! The memo is process-wide, so the tests here serialize on one mutex.
 
@@ -34,11 +35,21 @@ fn counts_are_exact_per_figure() {
     memo::reset();
     render("fig01", &scale);
     assert_eq!(counts(&scale), (3, 0), "fig01: one test trace per app");
+    assert_eq!(
+        memo::stats(&scale).facts_builds,
+        3,
+        "fig01's five runs per app share one set of fetch facts"
+    );
     render("fig11", &scale);
     assert_eq!(
         counts(&scale),
         (6, 3),
         "fig11: a new train trace and a shared test trace per app"
+    );
+    assert_eq!(
+        memo::stats(&scale).facts_builds,
+        3,
+        "fig11 replays fig01's facts; train traces are only profiled"
     );
 }
 
