@@ -40,3 +40,14 @@ fn trrip_grid_is_stable() {
 fn hierarchy_sweep_is_stable() {
     assert_snapshot!("figure_hierarchy", render("hierarchy"));
 }
+
+#[test]
+fn every_figure_is_stable() {
+    // One snapshot over the whole figure list pins every figure's bytes,
+    // so a refactor of the run entry points cannot drift any of them.
+    let md: String = thermometer_bench::FIGURE_IDS
+        .iter()
+        .map(|id| format!("## {id}\n\n{}", render(id)))
+        .collect();
+    assert_snapshot!("figure_all", md);
+}
