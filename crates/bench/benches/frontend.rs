@@ -23,6 +23,7 @@ use btb_trace::Trace;
 use btb_workloads::{AppSpec, InputConfig};
 use sim_support::{pool, BenchHarness};
 use thermometer::pipeline::{Pipeline, PipelineConfig};
+use thermometer::ThermometerPolicy;
 use thermometer_bench::figures::memo;
 use thermometer_bench::{figure_by_id, Scale};
 use uarch_sim::{FetchFacts, Frontend, FrontendConfig};
@@ -56,7 +57,7 @@ fn main() {
     let pipeline = Pipeline::new(PipelineConfig::default());
     harness.bench("full_pipeline_profile_plus_sim", records, || {
         let hints = pipeline.profile_to_hints(&trace);
-        black_box(pipeline.run_thermometer(&trace, &hints))
+        black_box(pipeline.run(&trace, ThermometerPolicy::new(), Some(&hints)))
     });
 
     // The grid executor, serial vs. pooled, on one representative figure.

@@ -40,6 +40,22 @@ fn main() {
         pool::set_threads(n);
     }
 
+    let names: Vec<&str> = policy.split(',').filter(|p| !p.is_empty()).collect();
+    if names.is_empty() {
+        usage("empty --policy list");
+    }
+    let policies: Vec<PolicyKind> = names
+        .iter()
+        .map(|name| {
+            PolicyKind::by_name(name).unwrap_or_else(|| {
+                usage(&format!(
+                    "unknown policy {name} (choose from: {})",
+                    POLICY_NAMES.join(", ")
+                ))
+            })
+        })
+        .collect();
+
     let trace = load(path);
     let pipeline = Pipeline::new(PipelineConfig {
         frontend: FrontendConfig {
@@ -49,33 +65,14 @@ fn main() {
         temperature: TemperatureConfig::paper_default(),
     });
 
-    let policies: Vec<&str> = policy.split(',').filter(|p| !p.is_empty()).collect();
-    if policies.is_empty() {
-        usage("empty --policy list");
-    }
-    if let Some(unknown) = policies.iter().find(|p| !POLICY_NAMES.contains(p)) {
-        usage(&format!(
-            "unknown policy {unknown} (choose from: {})",
-            POLICY_NAMES.join(", ")
-        ));
-    }
-
     // Profile once, up front, if any requested policy needs hints.
-    let wants_hints = policies.iter().any(|p| {
-        PolicyKind::by_name(p)
-            // justified expect: validated against POLICY_NAMES above.
-            .expect("validated above")
-            .wants_hints()
-    });
-    let hints: Option<HintTable> = wants_hints.then(|| {
-        let profile_trace = match flag(&args, "--profile") {
-            Some(p) => load(&p),
-            None => {
-                eprintln!("note: no --profile given; profiling on the simulated trace itself");
-                trace.clone()
-            }
-        };
-        let hints = pipeline.profile_to_hints(&profile_trace);
+    let hints: Option<HintTable> = policies.iter().any(PolicyKind::wants_hints).then(|| {
+        let profile_trace = flag(&args, "--profile").map(|p| load(&p));
+        let profile_trace = profile_trace.as_ref().unwrap_or_else(|| {
+            eprintln!("note: no --profile given; profiling on the simulated trace itself");
+            &trace
+        });
+        let hints = pipeline.profile_to_hints(profile_trace);
         eprintln!(
             "profiled {} branches -> {} hinted",
             profile_trace.len(),
@@ -85,13 +82,9 @@ fn main() {
     });
 
     // Scatter the runs, gather reports in the order the policies were given.
-    let reports = pool::par_map(&policies, |_, name| {
-        pipeline
-            .run_named(&trace, name, hints.as_ref())
-            // justified expect: every policy name was checked against
-            // POLICY_NAMES during argument parsing (load() exits with
-            // usage() on an unknown name), so run_named cannot miss here.
-            .expect("validated above")
+    let reports = pool::par_map(&policies, |_, policy| {
+        let hints = hints.as_ref().filter(|_| policy.wants_hints());
+        pipeline.run(&trace, policy.clone(), hints)
     });
     for (i, report) in reports.iter().enumerate() {
         if i > 0 {

@@ -1,6 +1,6 @@
 //! Figures 1–9: the characterization study (§2 of the paper).
 
-use btb_model::policies::BeladyOpt;
+use btb_model::policies::{BeladyOpt, Ghrp, GhrpConfig, Hawkeye, HawkeyeConfig, Lru, Srrip};
 use btb_model::reuse::ReuseAnalysis;
 use btb_model::BtbConfig;
 use thermometer::analysis;
@@ -19,12 +19,18 @@ pub fn fig01(scale: &Scale) -> FigureResult {
     let pipeline = Pipeline::new(PipelineConfig::default());
     let rows = per_app("fig01", &scale.apps, |spec| {
         let trace = test_trace(spec, scale);
-        let lru = pipeline.run_lru(&trace);
+        let lru = pipeline.run(&trace, Lru::new(), None);
         let values = vec![
-            pipeline.run_srrip(&trace).speedup_over(&lru),
-            pipeline.run_ghrp(&trace).speedup_over(&lru),
-            pipeline.run_hawkeye(&trace).speedup_over(&lru),
-            pipeline.run_opt(&trace).speedup_over(&lru),
+            pipeline.run(&trace, Srrip::new(), None).speedup_over(&lru),
+            pipeline
+                .run(&trace, Ghrp::new(GhrpConfig::default()), None)
+                .speedup_over(&lru),
+            pipeline
+                .run(&trace, Hawkeye::new(HawkeyeConfig::default()), None)
+                .speedup_over(&lru),
+            pipeline
+                .run(&trace, BeladyOpt::new(), None)
+                .speedup_over(&lru),
         ];
         Row::new(spec.name.clone(), values)
     });
@@ -52,7 +58,7 @@ pub fn fig02(scale: &Scale) -> FigureResult {
     let pipeline = Pipeline::new(PipelineConfig::default());
     let rows = per_app("fig02", &scale.apps, |spec| {
         let trace = test_trace(spec, scale);
-        let lru = pipeline.run_lru(&trace);
+        let lru = pipeline.run(&trace, Lru::new(), None);
         let perfect = |opts: PerfectOptions| pipeline.run_perfect(&trace, opts).speedup_over(&lru);
         Row::new(
             spec.name.clone(),
@@ -96,7 +102,7 @@ pub fn fig03(scale: &Scale) -> FigureResult {
     let pipeline = Pipeline::new(PipelineConfig::default());
     let rows = per_app("fig03", &scale.apps, |spec| {
         let trace = test_trace(spec, scale);
-        let report = pipeline.run_lru(&trace);
+        let report = pipeline.run(&trace, Lru::new(), None);
         Row::new(spec.name.clone(), vec![report.l2_impki()])
     });
     FigureResult {
@@ -121,38 +127,31 @@ pub fn fig04(scale: &Scale) -> FigureResult {
     let rows = per_app("fig04", &scale.apps, |spec| {
         let trace = test_trace(spec, scale);
         let config = pipeline.config().frontend;
-        let lru = pipeline.run_lru(&trace);
+        let lru = pipeline.run(&trace, Lru::new(), None);
 
         let confluence_lru = pipeline
-            .run_custom(
-                &trace,
-                btb_model::policies::Lru::new(),
-                None,
-                false,
-                Some(Box::new(Confluence::new())),
-            )
+            .run_with(&trace, Lru::new(), None, Some(Box::new(Confluence::new())))
+            .0
             .speedup_over(&lru);
 
         let shotgun_lru = {
-            let shotgun = ShotgunBtb::new(
-                config.btb,
-                btb_model::policies::Lru::new(),
-                btb_model::policies::Lru::new(),
-            );
+            let shotgun = ShotgunBtb::new(config.btb, Lru::new(), Lru::new());
             let mut fe = Frontend::with_btb(config, shotgun);
             fe.replay(&trace, trace.facts(), None).speedup_over(&lru)
         };
 
-        let opt = pipeline.run_opt(&trace).speedup_over(&lru);
+        let opt = pipeline
+            .run(&trace, BeladyOpt::new(), None)
+            .speedup_over(&lru);
 
         let confluence_opt = pipeline
-            .run_custom(
+            .run_with(
                 &trace,
                 BeladyOpt::new(),
                 None,
-                true,
                 Some(Box::new(Confluence::new())),
             )
+            .0
             .speedup_over(&lru);
 
         let shotgun_opt = {

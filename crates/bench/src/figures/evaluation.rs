@@ -6,7 +6,7 @@
 
 use std::sync::Arc;
 
-use btb_model::policies::Lru;
+use btb_model::policies::{BeladyOpt, Ghrp, GhrpConfig, Hawkeye, HawkeyeConfig, Lru, Srrip};
 use btb_model::BtbConfig;
 use btb_workloads::InputConfig;
 use thermometer::accuracy::measure_accuracy;
@@ -28,16 +28,25 @@ pub fn fig11(scale: &Scale) -> FigureResult {
         let test = test_trace(spec, scale);
         let hints = pipeline.profile_to_hints(&train);
         let hints_iso = iso.profile_to_hints(&train);
-        let lru = pipeline.run_lru(&test);
+        let lru = pipeline.run(&test, Lru::new(), None);
         Row::new(
             spec.name.clone(),
             vec![
-                pipeline.run_srrip(&test).speedup_over(&lru),
-                pipeline.run_ghrp(&test).speedup_over(&lru),
-                pipeline.run_hawkeye(&test).speedup_over(&lru),
-                pipeline.run_thermometer(&test, &hints).speedup_over(&lru),
-                iso.run_thermometer(&test, &hints_iso).speedup_over(&lru),
-                pipeline.run_opt(&test).speedup_over(&lru),
+                pipeline.run(&test, Srrip::new(), None).speedup_over(&lru),
+                pipeline
+                    .run(&test, Ghrp::new(GhrpConfig::default()), None)
+                    .speedup_over(&lru),
+                pipeline
+                    .run(&test, Hawkeye::new(HawkeyeConfig::default()), None)
+                    .speedup_over(&lru),
+                pipeline
+                    .run(&test, ThermometerPolicy::new(), Some(&hints))
+                    .speedup_over(&lru),
+                iso.run(&test, ThermometerPolicy::new(), Some(&hints_iso))
+                    .speedup_over(&lru),
+                pipeline
+                    .run(&test, BeladyOpt::new(), None)
+                    .speedup_over(&lru),
             ],
         )
     });
@@ -75,17 +84,25 @@ pub fn fig12(scale: &Scale) -> FigureResult {
         let train = train_trace(spec, scale);
         let test = test_trace(spec, scale);
         let hints = pipeline.profile_to_hints(&train);
-        let lru = pipeline.run_lru(&test);
+        let lru = pipeline.run(&test, Lru::new(), None);
         Row::new(
             spec.name.clone(),
             vec![
-                pipeline.run_srrip(&test).miss_reduction_over(&lru),
-                pipeline.run_ghrp(&test).miss_reduction_over(&lru),
-                pipeline.run_hawkeye(&test).miss_reduction_over(&lru),
                 pipeline
-                    .run_thermometer(&test, &hints)
+                    .run(&test, Srrip::new(), None)
                     .miss_reduction_over(&lru),
-                pipeline.run_opt(&test).miss_reduction_over(&lru),
+                pipeline
+                    .run(&test, Ghrp::new(GhrpConfig::default()), None)
+                    .miss_reduction_over(&lru),
+                pipeline
+                    .run(&test, Hawkeye::new(HawkeyeConfig::default()), None)
+                    .miss_reduction_over(&lru),
+                pipeline
+                    .run(&test, ThermometerPolicy::new(), Some(&hints))
+                    .miss_reduction_over(&lru),
+                pipeline
+                    .run(&test, BeladyOpt::new(), None)
+                    .miss_reduction_over(&lru),
             ],
         )
     });
@@ -127,8 +144,10 @@ pub fn fig13(scale: &Scale) -> FigureResult {
                 Arc::new(PreparedTrace::new(trace))
             };
             let same_hints = pipeline.profile_to_hints(&test);
-            let lru = pipeline.run_lru(&test);
-            let opt_speedup = pipeline.run_opt(&test).speedup_over(&lru);
+            let lru = pipeline.run(&test, Lru::new(), None);
+            let opt_speedup = pipeline
+                .run(&test, BeladyOpt::new(), None)
+                .speedup_over(&lru);
             let pct = |speedup: f64| {
                 if opt_speedup.abs() < 1e-9 {
                     0.0
@@ -139,12 +158,12 @@ pub fn fig13(scale: &Scale) -> FigureResult {
             rows.push(Row::new(
                 format!("{} #{input}", spec.name),
                 vec![
-                    pct(pipeline.run_srrip(&test).speedup_over(&lru)),
+                    pct(pipeline.run(&test, Srrip::new(), None).speedup_over(&lru)),
                     pct(pipeline
-                        .run_thermometer(&test, &train_hints)
+                        .run(&test, ThermometerPolicy::new(), Some(&train_hints))
                         .speedup_over(&lru)),
                     pct(pipeline
-                        .run_thermometer(&test, &same_hints)
+                        .run(&test, ThermometerPolicy::new(), Some(&same_hints))
                         .speedup_over(&lru)),
                 ],
             ));
@@ -223,7 +242,8 @@ pub fn fig15(scale: &Scale) -> FigureResult {
         let train = train_trace(spec, scale);
         let test = test_trace(spec, scale);
         let hints = pipeline.profile_to_hints(&train);
-        let (_, coverage) = pipeline.run_thermometer_detailed(&test, &hints);
+        let (_, fe) = pipeline.run_with(&test, ThermometerPolicy::new(), Some(&hints), None);
+        let coverage = fe.btb().policy().coverage();
         Row::new(spec.name.clone(), vec![coverage.coverage() * 100.0])
     });
     let mut fig = FigureResult {

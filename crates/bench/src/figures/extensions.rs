@@ -11,7 +11,10 @@
 //!   two-level BTB organizations, with transient and temperature-aware
 //!   policies managing the last level.
 
-use btb_model::policies::{Drrip, Fifo, Lru, PseudoLru, Ship, Srrip, Trrip};
+use btb_model::policies::{
+    BeladyOpt, Drrip, Fifo, Ghrp, GhrpConfig, Hawkeye, HawkeyeConfig, Lru, PseudoLru, Ship, Srrip,
+    Trrip,
+};
 use btb_model::{BtbConfig, BtbInterface, ExclusiveTwoLevelBtb, TwoLevelBtb};
 use btb_trace::Trace;
 use thermometer::pipeline::{Pipeline, PipelineConfig};
@@ -32,20 +35,26 @@ pub fn extra_policies(scale: &Scale) -> FigureResult {
     let pipeline = Pipeline::new(PipelineConfig::default());
     let rows = per_app("extra-policies", &scale.apps, |spec| {
         let test = test_trace(spec, scale);
-        let lru = pipeline.run_lru(&test);
+        let lru = pipeline.run(&test, Lru::new(), None);
         Row::new(
             spec.name.clone(),
             vec![
-                pipeline.run_policy(&test, Fifo::new()).speedup_over(&lru),
+                pipeline.run(&test, Fifo::new(), None).speedup_over(&lru),
                 pipeline
-                    .run_policy(&test, PseudoLru::new())
+                    .run(&test, PseudoLru::new(), None)
                     .speedup_over(&lru),
-                pipeline.run_srrip(&test).speedup_over(&lru),
-                pipeline.run_policy(&test, Drrip::new()).speedup_over(&lru),
-                pipeline.run_policy(&test, Ship::new()).speedup_over(&lru),
-                pipeline.run_ghrp(&test).speedup_over(&lru),
-                pipeline.run_hawkeye(&test).speedup_over(&lru),
-                pipeline.run_opt(&test).speedup_over(&lru),
+                pipeline.run(&test, Srrip::new(), None).speedup_over(&lru),
+                pipeline.run(&test, Drrip::new(), None).speedup_over(&lru),
+                pipeline.run(&test, Ship::new(), None).speedup_over(&lru),
+                pipeline
+                    .run(&test, Ghrp::new(GhrpConfig::default()), None)
+                    .speedup_over(&lru),
+                pipeline
+                    .run(&test, Hawkeye::new(HawkeyeConfig::default()), None)
+                    .speedup_over(&lru),
+                pipeline
+                    .run(&test, BeladyOpt::new(), None)
+                    .speedup_over(&lru),
             ],
         )
     });
@@ -84,19 +93,23 @@ pub fn trrip_grid(scale: &Scale) -> FigureResult {
         let train = train_trace(spec, scale);
         let test = test_trace(spec, scale);
         let hints = pipeline.profile_to_hints(&train);
-        let lru = pipeline.run_lru(&test);
+        let lru = pipeline.run(&test, Lru::new(), None);
         Row::new(
             spec.name.clone(),
             vec![
-                pipeline.run_srrip(&test).speedup_over(&lru),
+                pipeline.run(&test, Srrip::new(), None).speedup_over(&lru),
                 pipeline
-                    .run_custom(&test, Trrip::pinned_srrip(), Some(&hints), false, None)
+                    .run(&test, Trrip::pinned_srrip(), Some(&hints))
                     .speedup_over(&lru),
                 pipeline
-                    .run_custom(&test, Trrip::new(), Some(&hints), false, None)
+                    .run(&test, Trrip::new(), Some(&hints))
                     .speedup_over(&lru),
-                pipeline.run_thermometer(&test, &hints).speedup_over(&lru),
-                pipeline.run_opt(&test).speedup_over(&lru),
+                pipeline
+                    .run(&test, ThermometerPolicy::new(), Some(&hints))
+                    .speedup_over(&lru),
+                pipeline
+                    .run(&test, BeladyOpt::new(), None)
+                    .speedup_over(&lru),
             ],
         )
     });
@@ -156,7 +169,7 @@ pub fn hierarchy(scale: &Scale) -> FigureResult {
         let test = test_trace(spec, scale);
         let hints = pipeline.profile_to_hints(&train);
         // Baseline: a monolithic LRU BTB with the L2 geometry.
-        let mono = pipeline.run_lru(&test);
+        let mono = pipeline.run(&test, Lru::new(), None);
         Row::new(
             spec.name.clone(),
             vec![
@@ -261,16 +274,22 @@ pub fn ablation(scale: &Scale) -> FigureResult {
         let train = train_trace(spec, scale);
         let test = test_trace(spec, scale);
         let hints = pipeline.profile_to_hints(&train);
-        let lru = pipeline.run_lru(&test);
-        let full = pipeline.run_thermometer(&test, &hints).speedup_over(&lru);
+        let lru = pipeline.run(&test, Lru::new(), None);
+        let full = pipeline
+            .run(&test, ThermometerPolicy::new(), Some(&hints))
+            .speedup_over(&lru);
         let no_bypass = pipeline
-            .run_custom(&test, ThermometerNoBypass::new(), Some(&hints), false, None)
+            .run(&test, ThermometerNoBypass::new(), Some(&hints))
             .speedup_over(&lru);
         let holistic = pipeline
-            .run_custom(&test, HolisticOnly::new(), Some(&hints), false, None)
+            .run(&test, HolisticOnly::new(), Some(&hints))
             .speedup_over(&lru);
         let cv = pipeline
-            .run_thermometer(&test, &cv_hints(&pipeline, &train))
+            .run(
+                &test,
+                ThermometerPolicy::new(),
+                Some(&cv_hints(&pipeline, &train)),
+            )
             .speedup_over(&lru);
         Row::new(spec.name.clone(), vec![full, no_bypass, holistic, cv])
     });

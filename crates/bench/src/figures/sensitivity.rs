@@ -1,10 +1,11 @@
 //! Figures 19–21: sensitivity studies and prefetcher composition (§4.3).
 
+use btb_model::policies::{BeladyOpt, Lru, Srrip};
 use btb_model::BtbConfig;
 use btb_trace::Trace;
 use btb_workloads::AppSpec;
 use thermometer::pipeline::{Pipeline, PipelineConfig};
-use thermometer::{PreparedTrace, TemperatureConfig};
+use thermometer::{PreparedTrace, TemperatureConfig, ThermometerPolicy};
 use uarch_sim::prefetch::TwigPrefetcher;
 use uarch_sim::FrontendConfig;
 
@@ -34,8 +35,10 @@ fn sweep_apps(scale: &Scale) -> Vec<AppSpec> {
 /// pipeline configuration.
 fn pct_of_opt(pipeline: &Pipeline, train: &Trace, test: &PreparedTrace) -> (f64, f64) {
     let hints = pipeline.profile_to_hints(train);
-    let lru = pipeline.run_lru(test);
-    let opt = pipeline.run_opt(test).speedup_over(&lru);
+    let lru = pipeline.run(test, Lru::new(), None);
+    let opt = pipeline
+        .run(test, BeladyOpt::new(), None)
+        .speedup_over(&lru);
     let pct = |speedup: f64| {
         if opt.abs() < 1e-9 {
             0.0
@@ -44,8 +47,10 @@ fn pct_of_opt(pipeline: &Pipeline, train: &Trace, test: &PreparedTrace) -> (f64,
         }
     };
     (
-        pct(pipeline.run_thermometer(test, &hints).speedup_over(&lru)),
-        pct(pipeline.run_srrip(test).speedup_over(&lru)),
+        pct(pipeline
+            .run(test, ThermometerPolicy::new(), Some(&hints))
+            .speedup_over(&lru)),
+        pct(pipeline.run(test, Srrip::new(), None).speedup_over(&lru)),
     )
 }
 
@@ -246,34 +251,14 @@ pub fn fig21(scale: &Scale) -> FigureResult {
         let config = pipeline.config().frontend.btb;
         let twig = || Box::new(TwigPrefetcher::train(&train, config, 16));
 
-        let lru_twig = pipeline.run_custom(
-            &test,
-            btb_model::policies::Lru::new(),
-            None,
-            false,
-            Some(twig()),
-        );
-        let srrip_twig = pipeline.run_custom(
-            &test,
-            btb_model::policies::Srrip::new(),
-            None,
-            false,
-            Some(twig()),
-        );
-        let therm_twig = pipeline.run_custom(
-            &test,
-            thermometer::ThermometerPolicy::new(),
-            Some(&hints),
-            false,
-            Some(twig()),
-        );
-        let opt_twig = pipeline.run_custom(
-            &test,
-            btb_model::policies::BeladyOpt::new(),
-            None,
-            true,
-            Some(twig()),
-        );
+        let lru_twig = pipeline.run_with(&test, Lru::new(), None, Some(twig())).0;
+        let srrip_twig = pipeline.run_with(&test, Srrip::new(), None, Some(twig())).0;
+        let therm_twig = pipeline
+            .run_with(&test, ThermometerPolicy::new(), Some(&hints), Some(twig()))
+            .0;
+        let opt_twig = pipeline
+            .run_with(&test, BeladyOpt::new(), None, Some(twig()))
+            .0;
 
         Row::new(
             spec.name.clone(),

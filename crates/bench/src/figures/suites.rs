@@ -2,12 +2,13 @@
 
 use std::sync::Arc;
 
+use btb_model::policies::{BeladyOpt, Ghrp, GhrpConfig, Hawkeye, HawkeyeConfig, Lru, Srrip};
 use btb_model::BtbConfig;
 use btb_trace::Trace;
 use btb_workloads::{cbp5_suite, ipc1_suite, SuiteParams};
 use thermometer::pipeline::{Pipeline, PipelineConfig};
 use thermometer::temperature::{default_candidates, two_fold_thresholds};
-use thermometer::{HintTable, OptProfile, TemperatureConfig};
+use thermometer::{HintTable, OptProfile, TemperatureConfig, ThermometerPolicy};
 
 use crate::per_app_traces;
 use crate::scale::Scale;
@@ -45,10 +46,10 @@ pub fn fig17(scale: &Scale) -> FigureResult {
     let pipeline = Pipeline::new(PipelineConfig::default());
 
     let per_trace: Vec<(f64, f64, f64)> = per_app_traces("fig17", &traces, |trace| {
-        let ghrp = pipeline.run_ghrp(trace);
+        let ghrp = pipeline.run(trace, Ghrp::new(GhrpConfig::default()), None);
         let profile = pipeline.profile(trace);
         let fixed_hints = HintTable::from_profile(&profile, &TemperatureConfig::paper_default());
-        let fixed = pipeline.run_thermometer(trace, &fixed_hints);
+        let fixed = pipeline.run(trace, ThermometerPolicy::new(), Some(&fixed_hints));
 
         // Two-fold cross-validation over the trace halves.
         let half = trace.len() / 2;
@@ -58,7 +59,7 @@ pub fn fig17(scale: &Scale) -> FigureResult {
         let p2 = OptProfile::measure(&second, BtbConfig::table1());
         let (y1, y2) = two_fold_thresholds(&p1, &p2, &default_candidates());
         let cv_hints = HintTable::from_profile(&profile, &TemperatureConfig::new(vec![y1, y2]));
-        let cv = pipeline.run_thermometer(trace, &cv_hints);
+        let cv = pipeline.run(trace, ThermometerPolicy::new(), Some(&cv_hints));
 
         let reduction = |r: &uarch_sim::SimReport| r.miss_reduction_over(&ghrp);
         (reduction(&fixed), reduction(&cv), ghrp.btb_mpki())
@@ -131,14 +132,22 @@ pub fn fig18(scale: &Scale) -> FigureResult {
     let pipeline = Pipeline::new(PipelineConfig::default());
 
     let per_trace: Vec<(Vec<f64>, f64)> = per_app_traces("fig18", &traces, |trace| {
-        let lru = pipeline.run_lru(trace);
+        let lru = pipeline.run(trace, Lru::new(), None);
         let hints = pipeline.profile_to_hints(trace);
         let speedups = vec![
-            pipeline.run_srrip(trace).speedup_over(&lru),
-            pipeline.run_ghrp(trace).speedup_over(&lru),
-            pipeline.run_hawkeye(trace).speedup_over(&lru),
-            pipeline.run_thermometer(trace, &hints).speedup_over(&lru),
-            pipeline.run_opt(trace).speedup_over(&lru),
+            pipeline.run(trace, Srrip::new(), None).speedup_over(&lru),
+            pipeline
+                .run(trace, Ghrp::new(GhrpConfig::default()), None)
+                .speedup_over(&lru),
+            pipeline
+                .run(trace, Hawkeye::new(HawkeyeConfig::default()), None)
+                .speedup_over(&lru),
+            pipeline
+                .run(trace, ThermometerPolicy::new(), Some(&hints))
+                .speedup_over(&lru),
+            pipeline
+                .run(trace, BeladyOpt::new(), None)
+                .speedup_over(&lru),
         ];
         (speedups, lru.btb_mpki())
     });

@@ -81,6 +81,10 @@ impl ReplacementPolicy for BeladyOpt {
     fn on_invalidate(&mut self, set: usize, way: usize, last: usize) {
         self.next_use.swap_remove(set, way, last);
     }
+
+    fn needs_oracle(&self) -> bool {
+        true
+    }
 }
 
 #[cfg(test)]

@@ -85,6 +85,12 @@ pub trait ReplacementPolicy {
     /// next `on_fill` before it can be consulted again. Default: no-op, for
     /// policies without per-way state.
     fn on_invalidate(&mut self, _set: usize, _way: usize, _last: usize) {}
+
+    /// Whether the policy reads [`AccessContext::next_use`], so a run must
+    /// attach the trace's next-use oracle. Only Belady's OPT does.
+    fn needs_oracle(&self) -> bool {
+        false
+    }
 }
 
 /// Blanket impl so `Box<dyn ReplacementPolicy>` (used by heterogeneous
@@ -116,6 +122,10 @@ impl ReplacementPolicy for Box<dyn ReplacementPolicy> {
 
     fn on_invalidate(&mut self, set: usize, way: usize, last: usize) {
         (**self).on_invalidate(set, way, last);
+    }
+
+    fn needs_oracle(&self) -> bool {
+        (**self).needs_oracle()
     }
 }
 

@@ -31,8 +31,10 @@
 //! Profile on one input, deploy on another (the paper's Fig. 13 workflow):
 //!
 //! ```
+//! use btb_model::policies::Lru;
 //! use btb_workloads::{AppSpec, InputConfig};
 //! use thermometer::pipeline::{Pipeline, PipelineConfig};
+//! use thermometer::ThermometerPolicy;
 //!
 //! let spec = AppSpec::by_name("kafka").unwrap();
 //! let train = spec.generate(InputConfig::input(0), 20_000);
@@ -40,8 +42,8 @@
 //!
 //! let pipeline = Pipeline::new(PipelineConfig::default());
 //! let hints = pipeline.profile_to_hints(&train);
-//! let report = pipeline.run_thermometer(&test, &hints);
-//! let baseline = pipeline.run_lru(&test);
+//! let report = pipeline.run(&test, ThermometerPolicy::new(), Some(&hints));
+//! let baseline = pipeline.run(&test, Lru::new(), None);
 //! // Thermometer never loses BTB hits on the profiled-like input by much;
 //! // on real configurations it wins (see the figure harness).
 //! assert!(report.btb.accesses == baseline.btb.accesses);

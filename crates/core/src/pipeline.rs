@@ -1,21 +1,22 @@
-//! End-to-end pipeline: profile → hints → simulate, plus baseline runners.
+//! End-to-end pipeline: profile → hints → simulate any policy.
 //!
 //! This is the library's high-level entry point and the engine behind the
 //! figure harness: one [`Pipeline`] holds a frontend configuration and a
 //! temperature configuration and can run any of the paper's policies over
 //! any trace with consistent settings.
 
-use btb_model::policies::{BeladyOpt, Ghrp, GhrpConfig, Hawkeye, HawkeyeConfig, Lru, Srrip};
-use btb_model::{BtbConfig, BtbInterface, ReplacementPolicy};
+use btb_model::policies::Lru;
+use btb_model::{Btb, BtbConfig, ReplacementPolicy};
 use btb_trace::Trace;
+use uarch_sim::prefetch::Prefetcher;
 use uarch_sim::{Frontend, FrontendConfig, PerfectOptions, SimReport};
 
 use crate::hints::HintTable;
-use crate::policy::ThermometerPolicy;
-use crate::policy_kind::PolicyKind;
 use crate::prepared::SimInput;
 use crate::profile::OptProfile;
 use crate::temperature::TemperatureConfig;
+
+pub use crate::policy_kind::POLICY_NAMES;
 
 /// Pipeline settings.
 #[derive(Clone, Debug, PartialEq)]
@@ -36,35 +37,10 @@ impl Default for PipelineConfig {
     }
 }
 
-/// Policy names accepted by [`Pipeline::run_named`], in canonical order —
-/// the `btbsim --policy` vocabulary. The count is `POLICY_NAMES.len()`.
+/// The profile-guided workflow: profile a training trace into hints, then
+/// [`run`](Pipeline::run) any policy over a test trace.
 ///
-/// This list is one leg of the `[registry.policy-zoo]` declared in
-/// `simlint.toml`: simlint's R-rules hold it byte-consistent with the
-/// [`PolicyKind`](crate::policy_kind::PolicyKind) variants (R01/R02), the
-/// `each_kind!` dispatch arms (R03), the differential-test batteries
-/// (R04), and the figure suite (R05). A half-added policy fails `cargo
-/// test -q` before it compiles into a silently unplotted zoo member, so
-/// extending the zoo means wiring the name through every leg — nothing
-/// else hard-codes the size.
-pub const POLICY_NAMES: [&str; 12] = [
-    "lru",
-    "fifo",
-    "plru",
-    "random",
-    "srrip",
-    "drrip",
-    "trrip",
-    "ship",
-    "ghrp",
-    "hawkeye",
-    "opt",
-    "thermometer",
-];
-
-/// The profile-guided workflow plus baseline runners.
-///
-/// Every `run_*` entry point takes a [`SimInput`]: pass a
+/// Every `run*` entry point takes a [`SimInput`]: pass a
 /// [`PreparedTrace`](crate::PreparedTrace) to share its fetch facts and
 /// OPT oracle across runs, or a bare [`Trace`] for a one-off run. The
 /// reports are identical either way.
@@ -94,133 +70,49 @@ impl Pipeline {
         HintTable::from_profile(&self.profile(trace), &self.config.temperature)
     }
 
-    /// Step 4: simulate the test trace under Thermometer with `hints`.
-    pub fn run_thermometer(&self, trace: &impl SimInput, hints: &HintTable) -> SimReport {
-        self.run_thermometer_detailed(trace, hints).0
-    }
-
-    /// Like [`Pipeline::run_thermometer`], also returning the replacement
-    /// coverage counters (paper Fig. 15).
-    pub fn run_thermometer_detailed(
+    /// Step 4: simulates `input` under `policy`, with temperature `hints`
+    /// when given. The report is labelled with the policy's name, and a
+    /// policy that [needs the oracle](ReplacementPolicy::needs_oracle)
+    /// gets the input's next-use oracle.
+    pub fn run<P: ReplacementPolicy>(
         &self,
-        trace: &impl SimInput,
-        hints: &HintTable,
-    ) -> (SimReport, crate::policy::CoverageCounters) {
-        let mut fe = Frontend::new(self.config.frontend, ThermometerPolicy::new());
-        fe.set_hints(hints.to_map());
-        let mut report = simulate(&mut fe, trace, false);
-        report.label = "Thermometer".into();
-        let coverage = fe.btb().policy().coverage();
-        (report, coverage)
-    }
-
-    /// Runs an arbitrary policy with every optional attachment: Thermometer
-    /// hints, the OPT oracle, and/or a BTB prefetcher. The label is
-    /// `"{policy}+{prefetcher}"` when a prefetcher is attached.
-    pub fn run_custom<P: ReplacementPolicy>(
-        &self,
-        trace: &impl SimInput,
+        input: &impl SimInput,
         policy: P,
         hints: Option<&HintTable>,
-        with_oracle: bool,
-        prefetcher: Option<Box<dyn uarch_sim::prefetch::Prefetcher>>,
     ) -> SimReport {
-        let policy_name = policy.name();
+        self.run_with(input, policy, hints, None).0
+    }
+
+    /// [`Pipeline::run`] with an optional BTB prefetcher attached (the
+    /// label becomes `"{policy}+{prefetcher}"`), also returning the
+    /// frontend so callers can read the policy's counters afterwards.
+    pub fn run_with<P: ReplacementPolicy>(
+        &self,
+        input: &impl SimInput,
+        policy: P,
+        hints: Option<&HintTable>,
+        prefetcher: Option<Box<dyn Prefetcher>>,
+    ) -> (SimReport, Frontend<Btb<P>>) {
+        let mut label = policy.name().to_owned();
+        let oracle = policy.needs_oracle().then(|| input.next_use_oracle());
         let mut fe = Frontend::new(self.config.frontend, policy);
         if let Some(h) = hints {
             fe.set_hints(h.to_map());
         }
-        let label = match &prefetcher {
-            Some(p) => format!("{policy_name}+{}", p.name()),
-            None => policy_name.to_owned(),
-        };
         if let Some(p) = prefetcher {
+            label = format!("{label}+{}", p.name());
             fe.set_prefetcher(p);
         }
-        let mut report = simulate(&mut fe, trace, with_oracle);
+        let mut report = fe.replay(input.as_trace(), &input.fetch_facts(), oracle.as_deref());
         report.label = label;
-        report
-    }
-
-    /// Runs an arbitrary policy (no hints, no oracle).
-    pub fn run_policy<P: ReplacementPolicy>(&self, trace: &impl SimInput, policy: P) -> SimReport {
-        let label = policy.name();
-        let mut fe = Frontend::new(self.config.frontend, policy);
-        let mut report = simulate(&mut fe, trace, false);
-        report.label = label.into();
-        report
-    }
-
-    /// The LRU baseline every figure normalizes against.
-    pub fn run_lru(&self, trace: &impl SimInput) -> SimReport {
-        self.run_policy(trace, Lru::new())
-    }
-
-    /// SRRIP (best prior work in the paper).
-    pub fn run_srrip(&self, trace: &impl SimInput) -> SimReport {
-        self.run_policy(trace, Srrip::new())
-    }
-
-    /// GHRP (the prior BTB-specific policy).
-    pub fn run_ghrp(&self, trace: &impl SimInput) -> SimReport {
-        self.run_policy(trace, Ghrp::new(GhrpConfig::default()))
-    }
-
-    /// Hawkeye adapted to the BTB.
-    pub fn run_hawkeye(&self, trace: &impl SimInput) -> SimReport {
-        self.run_policy(trace, Hawkeye::new(HawkeyeConfig::default()))
-    }
-
-    /// Belady's OPT, with the input's next-use oracle.
-    pub fn run_opt(&self, trace: &impl SimInput) -> SimReport {
-        let mut fe = Frontend::new(self.config.frontend, BeladyOpt::new());
-        let mut report = simulate(&mut fe, trace, true);
-        report.label = "OPT".into();
-        report
-    }
-
-    /// Runs the policy named by one of [`POLICY_NAMES`] (the CLI
-    /// vocabulary). Hint-consuming policies (`"thermometer"`, `"trrip"`)
-    /// use `hints` when given and otherwise profile the simulated trace
-    /// itself; every other policy ignores `hints`. Returns `None` for an
-    /// unknown name.
-    ///
-    /// Dispatch goes through [`PolicyKind`], so the whole vocabulary shares
-    /// one `Frontend<Btb<PolicyKind>>` instantiation (enum dispatch on the
-    /// per-access path) instead of monomorphizing the simulation loop once
-    /// per policy type.
-    pub fn run_named(
-        &self,
-        trace: &impl SimInput,
-        name: &str,
-        hints: Option<&HintTable>,
-    ) -> Option<SimReport> {
-        let policy = PolicyKind::by_name(name)?;
-        let label = policy.name();
-        let mut fe = Frontend::new(self.config.frontend, policy);
-        if fe.btb().policy().wants_hints() {
-            let own_hints;
-            let hints = match hints {
-                Some(h) => h,
-                None => {
-                    own_hints = self.profile_to_hints(trace.as_trace());
-                    &own_hints
-                }
-            };
-            fe.set_hints(hints.to_map());
-        }
-        let with_oracle = fe.btb().policy().needs_oracle();
-        let mut report = simulate(&mut fe, trace, with_oracle);
-        report.label = label.into();
-        Some(report)
+        (report, fe)
     }
 
     /// A limit-study run (Fig. 2): LRU replacement with perfect structures.
-    pub fn run_perfect(&self, trace: &impl SimInput, perfect: PerfectOptions) -> SimReport {
-        let mut config = self.config.frontend;
-        config.perfect = perfect;
-        let mut fe = Frontend::new(config, Lru::new());
-        let mut report = simulate(&mut fe, trace, false);
+    pub fn run_perfect(&self, input: &impl SimInput, perfect: PerfectOptions) -> SimReport {
+        let mut config = self.config.clone();
+        config.frontend.perfect = perfect;
+        let mut report = Pipeline::new(config).run(input, Lru::new(), None);
         report.label = match (perfect.btb, perfect.branch_predictor, perfect.icache) {
             (true, false, false) => "Perfect-BTB".into(),
             (false, true, false) => "Perfect-BP".into(),
@@ -239,20 +131,11 @@ impl Pipeline {
     }
 }
 
-/// Simulates `input` through `fe` over the input's fetch facts, with its
-/// next-use oracle when `with_oracle`.
-fn simulate<B: BtbInterface>(
-    fe: &mut Frontend<B>,
-    input: &impl SimInput,
-    with_oracle: bool,
-) -> SimReport {
-    let oracle = with_oracle.then(|| input.next_use_oracle());
-    fe.replay(input.as_trace(), &input.fetch_facts(), oracle.as_deref())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{PolicyKind, ThermometerPolicy};
+    use btb_model::policies::BeladyOpt;
     use btb_workloads::{AppSpec, InputConfig};
 
     fn small_trace(input: u32) -> Trace {
@@ -276,9 +159,9 @@ mod tests {
             ..PipelineConfig::default()
         });
         let hints = p.profile_to_hints(&trace);
-        let lru = p.run_lru(&trace);
-        let therm = p.run_thermometer(&trace, &hints);
-        let opt = p.run_opt(&trace);
+        let lru = p.run(&trace, Lru::new(), None);
+        let therm = p.run(&trace, ThermometerPolicy::new(), Some(&hints));
+        let opt = p.run(&trace, BeladyOpt::new(), None);
         assert!(
             therm.btb.misses < lru.btb.misses,
             "thermometer misses {} vs lru {}",
@@ -293,10 +176,13 @@ mod tests {
     fn labels_are_set() {
         let trace = small_trace(0);
         let p = Pipeline::new(PipelineConfig::default());
-        assert_eq!(p.run_lru(&trace).label, "LRU");
-        assert_eq!(p.run_opt(&trace).label, "OPT");
+        assert_eq!(p.run(&trace, Lru::new(), None).label, "LRU");
+        assert_eq!(p.run(&trace, BeladyOpt::new(), None).label, "OPT");
         let hints = p.profile_to_hints(&trace);
-        assert_eq!(p.run_thermometer(&trace, &hints).label, "Thermometer");
+        assert_eq!(
+            p.run(&trace, ThermometerPolicy::new(), Some(&hints)).label,
+            "Thermometer"
+        );
         let perfect = p.run_perfect(
             &trace,
             uarch_sim::PerfectOptions {
@@ -323,8 +209,8 @@ mod tests {
         // Cross-input agreement should be high (paper: ~81%).
         let agreement = train_hints.agreement_with(&same_hints);
         assert!(agreement > 0.5, "agreement {agreement}");
-        let lru = p.run_lru(&test);
-        let cross = p.run_thermometer(&test, &train_hints);
+        let lru = p.run(&test, Lru::new(), None);
+        let cross = p.run(&test, ThermometerPolicy::new(), Some(&train_hints));
         assert!(
             cross.btb.misses <= lru.btb.misses,
             "cross-input thermometer {} vs lru {}",
@@ -338,15 +224,19 @@ mod tests {
         let trace = small_trace(0);
         let p = Pipeline::new(PipelineConfig::default());
         for name in POLICY_NAMES {
-            let report = p.run_named(&trace, name, None).expect("known policy name");
+            let policy = PolicyKind::by_name(name).expect("known policy name");
+            let report = p.run(&trace, policy, None);
             assert!(report.btb.accesses > 0, "{name} simulated nothing");
         }
-        assert!(p.run_named(&trace, "nosuch", None).is_none());
-        // Dispatch agrees with the direct runners.
-        let named = p.run_named(&trace, "lru", None).unwrap();
-        let direct = p.run_lru(&trace);
-        assert_eq!(named.btb.misses, direct.btb.misses);
-        assert_eq!(named.label, direct.label);
+        // Enum dispatch agrees with the concrete types, oracle included.
+        for (name, direct) in [
+            ("lru", p.run(&trace, Lru::new(), None)),
+            ("opt", p.run(&trace, BeladyOpt::new(), None)),
+        ] {
+            let named = p.run(&trace, PolicyKind::by_name(name).unwrap(), None);
+            assert_eq!(named.btb, direct.btb, "{name}");
+            assert_eq!(named.label, direct.label);
+        }
     }
 
     #[test]

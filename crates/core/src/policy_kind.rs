@@ -1,161 +1,160 @@
-//! Enum dispatch over the CLI policy vocabulary.
+//! The policy zoo: one table naming every replacement policy the CLI can
+//! run, and the enum dispatch generated from it.
 //!
-//! [`Pipeline::run_named`](crate::pipeline::Pipeline::run_named) used to
-//! monomorphize one `Frontend<Btb<P>>` per policy type, which kept every
-//! per-access policy callback a direct call but compiled one copy of the
-//! whole simulation loop per [`POLICY_NAMES`](crate::pipeline::POLICY_NAMES)
-//! entry. [`PolicyKind`] collapses that to a single
-//! instantiation: one enum whose variants hold the concrete policies, with
-//! each [`ReplacementPolicy`] method a `match` that the optimizer turns
-//! into a jump table. Unlike `Box<dyn ReplacementPolicy>`, the policy state
-//! lives inline (no pointer chase on the hot path) and the per-variant
-//! bodies stay inlinable. The trait-object path is still available for
-//! heterogeneous collections; this type is for the named hot path.
+//! Each row of the `policies!` table gives a member's CLI name, its
+//! [`PolicyKind`] variant, the concrete policy type, the constructor the
+//! name builds, and whether the policy reads temperature hints. The macro
+//! generates [`PolicyKind`], [`POLICY_NAMES`], [`PolicyKind::by_name`] and
+//! the [`ReplacementPolicy`] dispatch from those rows, so a member is named
+//! exactly once and cannot be half-added.
+//!
+//! [`PolicyKind`] exists so a run over a name (`btbsim --policy`) compiles
+//! one `Frontend<Btb<PolicyKind>>` instead of one simulation loop per policy
+//! type: each [`ReplacementPolicy`] method is a `match` that the optimizer
+//! turns into a jump table. Unlike `Box<dyn ReplacementPolicy>`, the policy
+//! state lives inline (no pointer chase on the hot path) and the
+//! per-variant bodies stay inlinable. Code that knows its policy statically
+//! (every figure) passes the concrete type and stays monomorphized.
 
-use btb_model::policies::{
-    BeladyOpt, Drrip, Fifo, Ghrp, GhrpConfig, Hawkeye, HawkeyeConfig, Lru, PseudoLru, Random, Ship,
-    Srrip, Trrip,
-};
+// A glob, so the table below is the only place a member is named.
+use btb_model::policies::*;
 use btb_model::{AccessContext, BtbEntry, Geometry, ReplacementPolicy, Victim};
 
 use crate::policy::ThermometerPolicy;
 
-/// Every policy reachable through [`POLICY_NAMES`](crate::pipeline::POLICY_NAMES),
-/// as one inline-stored enum.
-#[derive(Clone, Debug)]
-pub enum PolicyKind {
-    /// Classic least-recently-used (the baseline).
-    Lru(Lru),
-    /// Insertion-order eviction.
-    Fifo(Fifo),
-    /// Tree pseudo-LRU.
-    Plru(PseudoLru),
-    /// Uniform-random victim (seeded).
-    Random(Random),
-    /// Static RRIP.
-    Srrip(Srrip),
-    /// Dynamic RRIP with set dueling.
-    Drrip(Drrip),
-    /// Temperature-hinted RRIP (needs hints to help).
-    Trrip(Trrip),
-    /// Signature-based hit prediction.
-    Ship(Ship),
-    /// Global-history reference prediction.
-    Ghrp(Ghrp),
-    /// OPT-trained friendliness prediction.
-    Hawkeye(Hawkeye),
-    /// Belady's offline optimum (needs the next-use oracle).
-    Opt(BeladyOpt),
-    /// The paper's profile-guided policy (needs hints to help).
-    Thermometer(ThermometerPolicy),
-}
+/// Generates the zoo's enum, name list, builder and dispatch from one table
+/// of `"name" => Variant(Type) = constructor, hints: bool;` rows.
+macro_rules! policies {
+    ($(
+        $(#[doc = $doc:literal])*
+        $name:literal => $variant:ident($ty:ty) = $ctor:expr, hints: $hints:literal;
+    )*) => {
+        /// Every policy reachable through [`POLICY_NAMES`], as one
+        /// inline-stored enum.
+        #[derive(Clone, Debug)]
+        pub enum PolicyKind {
+            $($(#[doc = $doc])* $variant($ty),)*
+        }
 
-/// Dispatches `$self` to the variant's policy value.
-macro_rules! each_kind {
-    ($self:expr, $p:ident => $body:expr) => {
-        match $self {
-            PolicyKind::Lru($p) => $body,
-            PolicyKind::Fifo($p) => $body,
-            PolicyKind::Plru($p) => $body,
-            PolicyKind::Random($p) => $body,
-            PolicyKind::Srrip($p) => $body,
-            PolicyKind::Drrip($p) => $body,
-            PolicyKind::Trrip($p) => $body,
-            PolicyKind::Ship($p) => $body,
-            PolicyKind::Ghrp($p) => $body,
-            PolicyKind::Hawkeye($p) => $body,
-            PolicyKind::Opt($p) => $body,
-            PolicyKind::Thermometer($p) => $body,
+        /// The CLI policy vocabulary (`btbsim --policy`), in table order.
+        /// [`PolicyKind::by_name`] builds each entry.
+        pub const POLICY_NAMES: [&str; [$($name),*].len()] = [$($name),*];
+
+        impl PolicyKind {
+            /// Builds the policy for one of the [`POLICY_NAMES`], or `None`
+            /// for an unknown name.
+            pub fn by_name(name: &str) -> Option<Self> {
+                match name {
+                    $($name => Some(Self::$variant($ctor)),)*
+                    _ => None,
+                }
+            }
+
+            /// Whether this policy reads temperature hints, so a run should
+            /// profile a training trace for it.
+            pub fn wants_hints(&self) -> bool {
+                match self {
+                    $(Self::$variant(_) => $hints,)*
+                }
+            }
+        }
+
+        impl ReplacementPolicy for PolicyKind {
+            fn name(&self) -> &'static str {
+                match self {
+                    $(Self::$variant(p) => p.name(),)*
+                }
+            }
+
+            fn reset(&mut self, geometry: &Geometry) {
+                match self {
+                    $(Self::$variant(p) => p.reset(geometry),)*
+                }
+            }
+
+            fn on_hit(&mut self, set: usize, way: usize, ctx: &AccessContext) {
+                match self {
+                    $(Self::$variant(p) => p.on_hit(set, way, ctx),)*
+                }
+            }
+
+            fn on_fill(&mut self, set: usize, way: usize, ctx: &AccessContext) {
+                match self {
+                    $(Self::$variant(p) => p.on_fill(set, way, ctx),)*
+                }
+            }
+
+            fn choose_victim(
+                &mut self,
+                set: usize,
+                resident: &[BtbEntry],
+                ctx: &AccessContext,
+            ) -> Victim {
+                match self {
+                    $(Self::$variant(p) => p.choose_victim(set, resident, ctx),)*
+                }
+            }
+
+            fn on_replace(
+                &mut self,
+                set: usize,
+                way: usize,
+                evicted: &BtbEntry,
+                ctx: &AccessContext,
+            ) {
+                match self {
+                    $(Self::$variant(p) => p.on_replace(set, way, evicted, ctx),)*
+                }
+            }
+
+            fn on_invalidate(&mut self, set: usize, way: usize, last: usize) {
+                match self {
+                    $(Self::$variant(p) => p.on_invalidate(set, way, last),)*
+                }
+            }
+
+            fn needs_oracle(&self) -> bool {
+                match self {
+                    $(Self::$variant(p) => p.needs_oracle(),)*
+                }
+            }
         }
     };
 }
 
-impl PolicyKind {
-    /// Builds the policy for one of the canonical CLI names (the
-    /// [`POLICY_NAMES`](crate::pipeline::POLICY_NAMES) vocabulary), with
-    /// the same constructor arguments `run_named` has always used.
-    /// Returns `None` for an unknown name.
-    pub fn by_name(name: &str) -> Option<Self> {
-        Some(match name {
-            "lru" => Self::Lru(Lru::new()),
-            "fifo" => Self::Fifo(Fifo::new()),
-            "plru" => Self::Plru(PseudoLru::new()),
-            "random" => Self::Random(Random::with_seed(0x5eed)),
-            "srrip" => Self::Srrip(Srrip::new()),
-            "drrip" => Self::Drrip(Drrip::new()),
-            "trrip" => Self::Trrip(Trrip::new()),
-            "ship" => Self::Ship(Ship::new()),
-            "ghrp" => Self::Ghrp(Ghrp::new(GhrpConfig::default())),
-            "hawkeye" => Self::Hawkeye(Hawkeye::new(HawkeyeConfig::default())),
-            "opt" => Self::Opt(BeladyOpt::new()),
-            "thermometer" => Self::Thermometer(ThermometerPolicy::new()),
-            _ => return None,
-        })
-    }
-
-    /// Whether this policy only makes sense with the next-use oracle.
-    pub fn needs_oracle(&self) -> bool {
-        matches!(self, Self::Opt(_))
-    }
-
-    /// Whether this is the hint-consuming Thermometer policy.
-    pub fn is_thermometer(&self) -> bool {
-        matches!(self, Self::Thermometer(_))
-    }
-
-    /// Whether this policy consumes temperature hints — the pipeline only
-    /// profiles a training trace for policies that will read the result.
-    pub fn wants_hints(&self) -> bool {
-        matches!(self, Self::Thermometer(_) | Self::Trrip(_))
-    }
-
-    /// The coverage counters when this is Thermometer.
-    pub fn coverage(&self) -> Option<crate::policy::CoverageCounters> {
-        match self {
-            Self::Thermometer(p) => Some(p.coverage()),
-            _ => None,
-        }
-    }
-}
-
-impl ReplacementPolicy for PolicyKind {
-    fn name(&self) -> &'static str {
-        each_kind!(self, p => p.name())
-    }
-
-    fn reset(&mut self, geometry: &Geometry) {
-        each_kind!(self, p => p.reset(geometry));
-    }
-
-    fn on_hit(&mut self, set: usize, way: usize, ctx: &AccessContext) {
-        each_kind!(self, p => p.on_hit(set, way, ctx));
-    }
-
-    fn on_fill(&mut self, set: usize, way: usize, ctx: &AccessContext) {
-        each_kind!(self, p => p.on_fill(set, way, ctx));
-    }
-
-    fn choose_victim(&mut self, set: usize, resident: &[BtbEntry], ctx: &AccessContext) -> Victim {
-        each_kind!(self, p => p.choose_victim(set, resident, ctx))
-    }
-
-    fn on_replace(&mut self, set: usize, way: usize, evicted: &BtbEntry, ctx: &AccessContext) {
-        each_kind!(self, p => p.on_replace(set, way, evicted, ctx));
-    }
-
-    fn on_invalidate(&mut self, set: usize, way: usize, last: usize) {
-        each_kind!(self, p => p.on_invalidate(set, way, last));
-    }
+policies! {
+    /// Classic least-recently-used (the baseline).
+    "lru" => Lru(Lru) = Lru::new(), hints: false;
+    /// Insertion-order eviction.
+    "fifo" => Fifo(Fifo) = Fifo::new(), hints: false;
+    /// Tree pseudo-LRU.
+    "plru" => Plru(PseudoLru) = PseudoLru::new(), hints: false;
+    /// Uniform-random victim (seeded).
+    "random" => Random(Random) = Random::with_seed(0x5eed), hints: false;
+    /// Static RRIP.
+    "srrip" => Srrip(Srrip) = Srrip::new(), hints: false;
+    /// Dynamic RRIP with set dueling.
+    "drrip" => Drrip(Drrip) = Drrip::new(), hints: false;
+    /// Temperature-hinted RRIP.
+    "trrip" => Trrip(Trrip) = Trrip::new(), hints: true;
+    /// Signature-based hit prediction.
+    "ship" => Ship(Ship) = Ship::new(), hints: false;
+    /// Global-history reference prediction.
+    "ghrp" => Ghrp(Ghrp) = Ghrp::new(GhrpConfig::default()), hints: false;
+    /// OPT-trained friendliness prediction.
+    "hawkeye" => Hawkeye(Hawkeye) = Hawkeye::new(HawkeyeConfig::default()), hints: false;
+    /// Belady's offline optimum (needs the next-use oracle).
+    "opt" => Opt(BeladyOpt) = BeladyOpt::new(), hints: false;
+    /// The paper's profile-guided policy.
+    "thermometer" => Thermometer(ThermometerPolicy) = ThermometerPolicy::new(), hints: true;
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::POLICY_NAMES;
 
-    /// Runtime companion to simlint's registry rules: R01/R02 already
-    /// pin name-list ↔ builder ↔ variants statically; this additionally
-    /// checks each constructed policy reports its display label.
+    /// Each constructed policy reports its display label, and only OPT
+    /// asks for the oracle.
     #[test]
     fn covers_the_cli_vocabulary_with_matching_labels() {
         let labels = [
@@ -172,10 +171,16 @@ mod tests {
             ("opt", "OPT"),
             ("thermometer", "Thermometer"),
         ];
-        assert_eq!(labels.len(), POLICY_NAMES.len());
+        assert_eq!(labels.map(|(name, _)| name), POLICY_NAMES);
         for (name, label) in labels {
             let kind = PolicyKind::by_name(name).expect("known name");
             assert_eq!(kind.name(), label);
+            assert_eq!(kind.needs_oracle(), name == "opt", "{name}");
+            assert_eq!(
+                kind.wants_hints(),
+                name == "trrip" || name == "thermometer",
+                "{name}"
+            );
         }
         assert!(PolicyKind::by_name("nosuch").is_none());
     }

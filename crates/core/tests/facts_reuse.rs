@@ -4,11 +4,12 @@
 //! and so do the `Pipeline` entry points on a `PreparedTrace` against a
 //! bare `Trace`.
 
-use btb_model::BtbConfig;
+use btb_model::policies::{BeladyOpt, Lru, Srrip};
+use btb_model::{BtbConfig, ReplacementPolicy};
 use btb_trace::{NextUseOracle, Trace};
 use btb_workloads::{AppSpec, InputConfig};
 use thermometer::pipeline::{Pipeline, PipelineConfig, POLICY_NAMES};
-use thermometer::{PolicyKind, PreparedTrace};
+use thermometer::{PolicyKind, PreparedTrace, ThermometerPolicy};
 use uarch_sim::{FetchFacts, Frontend, FrontendConfig, PerfectOptions, SimReport};
 
 fn trace(input: u32) -> Trace {
@@ -81,8 +82,10 @@ fn prepared_and_bare_traces_give_the_same_reports() {
     let p = Pipeline::new(config());
     let hints = p.profile_to_hints(&train);
     for name in POLICY_NAMES {
-        let a = p.run_named(&prepared, name, Some(&hints)).expect("known");
-        let b = p.run_named(&bare, name, Some(&hints)).expect("known");
+        let policy = PolicyKind::by_name(name).expect("vocabulary name");
+        let hints = policy.wants_hints().then_some(&hints);
+        let a = p.run(&prepared, policy.clone(), hints);
+        let b = p.run(&bare, policy, hints);
         assert_identical(&a, &b, name);
     }
     assert!(prepared.has_facts());
@@ -91,11 +94,17 @@ fn prepared_and_bare_traces_give_the_same_reports() {
         ..PerfectOptions::default()
     };
     let pairs = [
-        (p.run_lru(&prepared), p.run_lru(&bare)),
-        (p.run_opt(&prepared), p.run_opt(&bare)),
         (
-            p.run_thermometer(&prepared, &hints),
-            p.run_thermometer(&bare, &hints),
+            p.run(&prepared, Lru::new(), None),
+            p.run(&bare, Lru::new(), None),
+        ),
+        (
+            p.run(&prepared, BeladyOpt::new(), None),
+            p.run(&bare, BeladyOpt::new(), None),
+        ),
+        (
+            p.run(&prepared, ThermometerPolicy::new(), Some(&hints)),
+            p.run(&bare, ThermometerPolicy::new(), Some(&hints)),
         ),
         (
             p.run_perfect(&prepared, perfect),
@@ -103,8 +112,9 @@ fn prepared_and_bare_traces_give_the_same_reports() {
         ),
         (
             p.with_btb(BtbConfig::iso_storage_7979())
-                .run_srrip(&prepared),
-            p.with_btb(BtbConfig::iso_storage_7979()).run_srrip(&bare),
+                .run(&prepared, Srrip::new(), None),
+            p.with_btb(BtbConfig::iso_storage_7979())
+                .run(&bare, Srrip::new(), None),
         ),
     ];
     for (a, b) in &pairs {

@@ -3,11 +3,14 @@
 
 use btb_model::policies::{BeladyOpt, Srrip};
 use btb_model::BtbConfig;
+use btb_trace::NextUseOracle;
 use btb_workloads::{AppSpec, InputConfig};
 use thermometer::pipeline::{Pipeline, PipelineConfig};
-use thermometer::{HintTable, OptProfile, TemperatureConfig, ThermometerNoBypass};
+use thermometer::{
+    HintTable, OptProfile, TemperatureConfig, ThermometerNoBypass, ThermometerPolicy,
+};
 use uarch_sim::prefetch::Confluence;
-use uarch_sim::FrontendConfig;
+use uarch_sim::{Frontend, FrontendConfig};
 
 fn small_trace(input: u32) -> btb_trace::Trace {
     let spec = AppSpec {
@@ -22,15 +25,16 @@ fn small_trace(input: u32) -> btb_trace::Trace {
 fn run_custom_composes_labels() {
     let trace = small_trace(0);
     let p = Pipeline::new(PipelineConfig::default());
-    let plain = p.run_custom(&trace, Srrip::new(), None, false, None);
+    let plain = p.run(&trace, Srrip::new(), None);
     assert_eq!(plain.label, "SRRIP");
-    let with_pf = p.run_custom(
-        &trace,
-        Srrip::new(),
-        None,
-        false,
-        Some(Box::new(Confluence::new())),
-    );
+    let with_pf = p
+        .run_with(
+            &trace,
+            Srrip::new(),
+            None,
+            Some(Box::new(Confluence::new())),
+        )
+        .0;
     assert_eq!(with_pf.label, "SRRIP+Confluence");
 }
 
@@ -38,8 +42,11 @@ fn run_custom_composes_labels() {
 fn run_custom_with_oracle_matches_run_opt() {
     let trace = small_trace(0);
     let p = Pipeline::new(PipelineConfig::default());
-    let a = p.run_custom(&trace, BeladyOpt::new(), None, true, None);
-    let b = p.run_opt(&trace);
+    // `run` attaches the next-use oracle because OPT asks for it: the
+    // pipeline's OPT equals OPT driven by hand with the oracle.
+    let a = p.run(&trace, BeladyOpt::new(), None);
+    let oracle = NextUseOracle::build(&trace);
+    let b = Frontend::new(p.config().frontend, BeladyOpt::new()).run(&trace, Some(&oracle));
     assert_eq!(a.btb, b.btb);
     assert_eq!(a.cycles.to_bits(), b.cycles.to_bits());
 }
@@ -55,7 +62,8 @@ fn detailed_run_reports_consistent_coverage() {
         temperature: TemperatureConfig::paper_default(),
     });
     let hints = p.profile_to_hints(&trace);
-    let (report, coverage) = p.run_thermometer_detailed(&trace, &hints);
+    let (report, fe) = p.run_with(&trace, ThermometerPolicy::new(), Some(&hints), None);
+    let coverage = fe.btb().policy().coverage();
     assert_eq!(report.label, "Thermometer");
     // Bypasses seen by the policy must equal the BTB's bypass counter.
     assert_eq!(coverage.bypasses, report.btb.bypasses);
@@ -74,13 +82,7 @@ fn no_bypass_ablation_never_bypasses_on_real_traffic() {
         temperature: TemperatureConfig::paper_default(),
     });
     let hints = p.profile_to_hints(&trace);
-    let report = p.run_custom(
-        &trace,
-        ThermometerNoBypass::new(),
-        Some(&hints),
-        false,
-        None,
-    );
+    let report = p.run(&trace, ThermometerNoBypass::new(), Some(&hints));
     assert_eq!(report.btb.bypasses, 0);
     assert_eq!(report.label, "Therm-NoBypass");
 }

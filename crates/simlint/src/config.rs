@@ -14,10 +14,7 @@
 //! "crates/sim-support/src/bench.rs" = "the bench harness measures wall-clock by design"
 //!
 //! [registry.policy-zoo]
-//! names = "crates/core/src/pipeline.rs#POLICY_NAMES"
-//! kinds = "crates/core/src/policy_kind.rs#PolicyKind"
-//! builder = "crates/core/src/policy_kind.rs#by_name"
-//! dispatch = "crates/core/src/policy_kind.rs#each_kind"
+//! table = "crates/core/src/policy_kind.rs#policies"
 //! tests = ["tests/storage_differential.rs"]
 //! figures = ["crates/bench/src/figures"]
 //!
@@ -37,8 +34,10 @@
 //! exempt, and hotpath entries record their `simlint.toml` line so the
 //! dead-suppression rule (X02) can point at the exact stale entry.
 //!
-//! `[registry.<id>]` legs are `"path#item"` references; `tests` and
-//! `figures` are lists of path prefixes. String arrays may span multiple
+//! A `[registry.<id>]`'s `table` is a `"path#macro"` reference to the
+//! table-macro invocation that lists the members (one
+//! `"name" => Variant(Type)` row each); `tests` and `figures` are lists of
+//! path prefixes. String arrays may span multiple
 //! lines (one element per line).
 
 use std::collections::BTreeMap;
@@ -60,7 +59,7 @@ pub struct PathAllow {
 pub struct ItemRef {
     /// Workspace-relative file path.
     pub path: String,
-    /// Item name inside that file (const, enum, fn, or macro name).
+    /// Item name inside that file (a function or table-macro name).
     pub item: String,
 }
 
@@ -68,27 +67,22 @@ pub struct ItemRef {
 /// (R04/R05) with a mandatory reason.
 #[derive(Clone, Debug)]
 pub struct RegistryExempt {
-    /// The member's canonical (builder) name, lowercase.
+    /// The member's canonical (table) name, lowercase.
     pub name: String,
     pub reason: String,
     /// 1-based `simlint.toml` line of the entry.
     pub line: usize,
 }
 
-/// One `[registry.<id>]` section: the legs every member must appear on.
+/// One `[registry.<id>]` section: the member table and the legs every
+/// member must appear on.
 #[derive(Clone, Debug, Default)]
 pub struct Registry {
     pub id: String,
     /// 1-based `simlint.toml` line of the section header.
     pub line: usize,
-    /// String-array constant listing the canonical names (R01).
-    pub names: Option<ItemRef>,
-    /// Enum whose variants are the members (R02/R03).
-    pub kinds: Option<ItemRef>,
-    /// Function with `"name" => Enum::Variant` arms (R01/R02).
-    pub builder: Option<ItemRef>,
-    /// `macro_rules!` dispatcher whose arms must cover the enum (R03).
-    pub dispatch: Option<ItemRef>,
+    /// Table-macro invocation whose rows are the members.
+    pub table: Option<ItemRef>,
     /// Path prefixes of the differential-test leg (R04).
     pub tests: Vec<String>,
     /// Path prefixes of the figure-suite leg (R05).
@@ -305,7 +299,7 @@ impl Config {
                                 reg.figures = list;
                             }
                         }
-                        "names" | "kinds" | "builder" | "dispatch" => {
+                        "table" => {
                             let raw = parse_string(&value)
                                 .map_err(|e| format!("simlint.toml:{lineno}: {e}"))?;
                             let (path, item) = split_item_ref(&raw).ok_or_else(|| {
@@ -314,15 +308,9 @@ impl Config {
                                      got `{raw}`"
                                 )
                             })?;
-                            let item_ref = ItemRef { path, item };
                             // justified expect: the section header created it
                             let reg = cfg.registry_mut(&id).expect("registry exists");
-                            match key.as_str() {
-                                "names" => reg.names = Some(item_ref),
-                                "kinds" => reg.kinds = Some(item_ref),
-                                "builder" => reg.builder = Some(item_ref),
-                                _ => reg.dispatch = Some(item_ref),
-                            }
+                            reg.table = Some(ItemRef { path, item });
                         }
                         other => {
                             return Err(format!(
@@ -474,10 +462,7 @@ paths = ["crates/simlint/tests/fixtures"]
     fn registry_sections_parse() {
         let toml = r#"
 [registry.zoo]
-names = "crates/core/src/pipeline.rs#POLICY_NAMES"
-kinds = "crates/core/src/policy_kind.rs#PolicyKind"
-builder = "crates/core/src/policy_kind.rs#by_name"
-dispatch = "crates/core/src/policy_kind.rs#each_kind"
+table = "crates/core/src/policy_kind.rs#policies"
 tests = ["tests/storage_differential.rs", "tests/policy_differential.rs"]
 figures = ["crates/bench/src/figures"]
 
@@ -489,10 +474,10 @@ figures = ["crates/bench/src/figures"]
         let reg = &cfg.registries[0];
         assert_eq!(reg.id, "zoo");
         assert_eq!(
-            reg.names,
+            reg.table,
             Some(ItemRef {
-                path: "crates/core/src/pipeline.rs".into(),
-                item: "POLICY_NAMES".into()
+                path: "crates/core/src/policy_kind.rs".into(),
+                item: "policies".into()
             })
         );
         assert_eq!(reg.tests.len(), 2);
@@ -513,7 +498,7 @@ figures = ["crates/bench/src/figures"]
 
     #[test]
     fn malformed_item_refs_are_rejected() {
-        assert!(Config::parse("[registry.z]\nnames = \"no-hash\"\n").is_err());
+        assert!(Config::parse("[registry.z]\ntable = \"no-hash\"\n").is_err());
         assert!(Config::parse("[hotpath]\nfunctions = [\"no-hash\"]\n").is_err());
         assert!(Config::parse("[registry.z.exempt]\n\"x\" = \"r\"\n").is_err());
     }

@@ -177,7 +177,7 @@ mod tests {
         // Rule metadata is always present, findings or not.
         let empty = render_sarif(&[]);
         assert!(empty.contains("\"results\":[]"));
-        assert!(empty.contains("\"id\":\"R01\""));
+        assert!(empty.contains("\"id\":\"R04\""));
         assert!(empty.contains("\"id\":\"P03\""));
         assert!(empty.contains("\"id\":\"X02\""));
     }

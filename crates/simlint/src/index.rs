@@ -4,14 +4,8 @@
 //! The extractor is syntactic and forgiving — it recognizes exactly the
 //! shapes the registry and hot-path rules consume:
 //!
-//! * `const NAME: [&str; N] = ["a", "b", …];` — string-array constants
-//!   (the `POLICY_NAMES` leg),
-//! * `enum Name { Variant(Payload), … }` — variants with their first
-//!   payload type identifier (the `PolicyKind` leg),
-//! * `macro_rules! name { … Enum::Variant … }` — `Path::Variant`
-//!   references inside a macro definition (the dispatch leg),
-//! * `"string" => Self::Variant(…)` match arms anywhere in a named
-//!   function (the builder leg),
+//! * `name! { "member" => Variant(Type) …, … }` — rows of a table-macro
+//!   invocation (the registry's `table` leg, e.g. `policies!`),
 //! * `fn name(…) { … }` definitions with their body line/token span,
 //!   skipping anything inside a `mod tests { … }` block,
 //! * the set of all identifiers and (lowercased) string literals in the
@@ -20,55 +14,23 @@
 use crate::tokens::{tokenize, TokKind, Token};
 use std::collections::BTreeSet;
 
-/// A `const NAME: [&str; N] = […]` string-array constant.
+/// One `"member" => Variant(Type)` row of a table-macro invocation.
 #[derive(Clone, Debug)]
-pub struct ConstArray {
+pub struct TableRow {
+    /// The member's canonical (string) name.
     pub name: String,
-    pub line: usize,
-    /// Elements in declaration order, each with its source line.
-    pub elems: Vec<(String, usize)>,
-}
-
-/// One enum variant.
-#[derive(Clone, Debug)]
-pub struct Variant {
-    pub name: String,
-    /// First identifier inside a tuple payload (`Lru` in `Lru(Lru)`,
-    /// `ThermometerPolicy` in `Thermometer(ThermometerPolicy)`).
-    pub payload: Option<String>,
-    pub line: usize,
-}
-
-/// An `enum` definition.
-#[derive(Clone, Debug)]
-pub struct EnumDef {
-    pub name: String,
-    pub line: usize,
-    pub variants: Vec<Variant>,
-}
-
-/// An `Enum::Variant` path reference inside a `macro_rules!` body.
-#[derive(Clone, Debug)]
-pub struct PathRef {
-    pub enum_name: String,
     pub variant: String,
+    /// First identifier inside the variant's payload (`Lru` in
+    /// `Lru(Lru)`, `ThermometerPolicy` in `Thermometer(ThermometerPolicy)`).
+    pub payload: String,
     pub line: usize,
 }
 
-/// A `macro_rules!` definition with the paths referenced in its body.
+/// A `name! { … }` macro invocation and the table rows inside it.
 #[derive(Clone, Debug)]
-pub struct MacroDef {
+pub struct Table {
     pub name: String,
-    pub line: usize,
-    pub paths: Vec<PathRef>,
-}
-
-/// A `"name" => Self::Variant` (or `Enum::Variant`) match arm.
-#[derive(Clone, Debug)]
-pub struct StrArm {
-    pub value: String,
-    pub variant: String,
-    pub line: usize,
+    pub rows: Vec<TableRow>,
 }
 
 /// A function definition and its extent.
@@ -93,11 +55,8 @@ pub struct FnDef {
 #[derive(Clone, Debug, Default)]
 pub struct FileIndex {
     pub tokens: Vec<Token>,
-    pub consts: Vec<ConstArray>,
-    pub enums: Vec<EnumDef>,
-    pub macros: Vec<MacroDef>,
+    pub tables: Vec<Table>,
     pub fns: Vec<FnDef>,
-    pub str_arms: Vec<StrArm>,
     /// Every identifier in the file (including test modules: a policy
     /// exercised only from `#[cfg(test)]` code still counts as exercised).
     pub idents: BTreeSet<String>,
@@ -107,16 +66,8 @@ pub struct FileIndex {
 }
 
 impl FileIndex {
-    pub fn const_array(&self, name: &str) -> Option<&ConstArray> {
-        self.consts.iter().find(|c| c.name == name)
-    }
-
-    pub fn enum_def(&self, name: &str) -> Option<&EnumDef> {
-        self.enums.iter().find(|e| e.name == name)
-    }
-
-    pub fn macro_def(&self, name: &str) -> Option<&MacroDef> {
-        self.macros.iter().find(|m| m.name == name)
+    pub fn table(&self, name: &str) -> Option<&Table> {
+        self.tables.iter().find(|t| t.name == name)
     }
 
     /// Non-test function definitions named `name`.
@@ -124,19 +75,6 @@ impl FileIndex {
         self.fns
             .iter()
             .filter(move |f| f.name == name && !f.in_tests)
-    }
-
-    /// The string→variant arms inside the (non-test) function `name`.
-    pub fn str_arms_in_fn(&self, name: &str) -> Vec<&StrArm> {
-        let mut out = Vec::new();
-        for f in self.fns_named(name) {
-            out.extend(
-                self.str_arms
-                    .iter()
-                    .filter(|a| a.line >= f.line && a.line <= f.end_line),
-            );
-        }
-        out
     }
 }
 
@@ -181,40 +119,16 @@ pub fn index_file(source: &str) -> FileIndex {
     let mut i = 0usize;
     while i < n {
         let t = &tokens[i];
-        if t.is_ident("const") {
-            if let Some(c) = parse_const_array(&tokens, i) {
-                idx.consts.push(c);
-            }
-        } else if t.is_ident("enum") {
-            if let Some(e) = parse_enum(&tokens, i) {
-                idx.enums.push(e);
-            }
-        } else if t.is_ident("macro_rules")
+        if t.kind == TokKind::Ident
             && tokens.get(i + 1).is_some_and(|t| t.is_punct('!'))
-            && tokens.get(i + 2).is_some_and(|t| t.kind == TokKind::Ident)
+            && tokens.get(i + 2).is_some_and(|t| t.is_punct('{'))
         {
-            if let Some(m) = parse_macro(&tokens, i) {
-                idx.macros.push(m);
+            if let Some(table) = parse_table(&tokens, i) {
+                idx.tables.push(table);
             }
         } else if t.is_ident("fn") && tokens.get(i + 1).is_some_and(|t| t.kind == TokKind::Ident) {
             if let Some(f) = parse_fn(&tokens, i, in_tests(i)) {
                 idx.fns.push(f);
-            }
-        } else if t.kind == TokKind::Str
-            && tokens.get(i + 1).is_some_and(|t| t.is_punct('='))
-            && tokens.get(i + 2).is_some_and(|t| t.is_punct('>'))
-        {
-            // `"name" => Self::Variant` / `"name" => Enum::Variant`.
-            if tokens.get(i + 3).is_some_and(|t| t.kind == TokKind::Ident)
-                && tokens.get(i + 4).is_some_and(|t| t.is_punct(':'))
-                && tokens.get(i + 5).is_some_and(|t| t.is_punct(':'))
-                && tokens.get(i + 6).is_some_and(|t| t.kind == TokKind::Ident)
-            {
-                idx.str_arms.push(StrArm {
-                    value: t.text.clone(),
-                    variant: tokens[i + 6].text.clone(),
-                    line: t.line,
-                });
             }
         }
         i += 1;
@@ -257,175 +171,30 @@ fn matching_brace(tokens: &[Token], open: usize) -> Option<usize> {
     None
 }
 
-/// `const NAME: … = ["a", "b", …];` with at least the `= [` part present.
-fn parse_const_array(tokens: &[Token], at: usize) -> Option<ConstArray> {
-    let name_tok = tokens.get(at + 1)?;
-    if name_tok.kind != TokKind::Ident {
-        return None;
-    }
-    // Walk to the `=` before the initializer, bounded by the closing `;`.
-    // The type annotation may itself contain brackets and semicolons
-    // (`[&str; 12]`), so only punctuation at bracket depth 0 counts.
-    let mut j = at + 2;
-    let mut bracket = 0isize;
-    while j < tokens.len() {
-        let t = &tokens[j];
-        if t.is_punct('[') {
-            bracket += 1;
-        } else if t.is_punct(']') {
-            bracket -= 1;
-        } else if bracket == 0 && t.is_punct('=') {
-            break;
-        } else if bracket == 0 && (t.is_punct(';') || t.is_punct('{')) {
-            return None;
-        }
-        j += 1;
-    }
-    if j >= tokens.len() || !tokens.get(j + 1).is_some_and(|t| t.is_punct('[')) {
-        return None;
-    }
-    let mut elems = Vec::new();
-    let mut k = j + 2;
-    while k < tokens.len() && !tokens[k].is_punct(']') {
-        if tokens[k].kind == TokKind::Str {
-            elems.push((tokens[k].text.clone(), tokens[k].line));
-        } else if !tokens[k].is_punct(',') {
-            // Not a flat string array (numbers, nested exprs): skip it.
-            return None;
-        }
-        k += 1;
-    }
-    if elems.is_empty() {
-        return None;
-    }
-    Some(ConstArray {
-        name: name_tok.text.clone(),
-        line: name_tok.line,
-        elems,
-    })
-}
-
-/// `enum Name { Variant, Variant(Payload), Variant { … }, … }`.
-fn parse_enum(tokens: &[Token], at: usize) -> Option<EnumDef> {
-    let name_tok = tokens.get(at + 1)?;
-    if name_tok.kind != TokKind::Ident {
-        return None;
-    }
-    // Skip generics to the body brace.
-    let mut j = at + 2;
-    while j < tokens.len() && !tokens[j].is_punct('{') {
-        if tokens[j].is_punct(';') {
-            return None;
-        }
-        j += 1;
-    }
-    let close = matching_brace(tokens, j)?;
-    let mut variants = Vec::new();
-    let mut k = j + 1;
-    while k < close {
-        // Skip attributes on the variant.
-        while tokens[k].is_punct('#') && tokens.get(k + 1).is_some_and(|t| t.is_punct('[')) {
-            let mut depth = 0usize;
-            k += 1;
-            while k < close {
-                if tokens[k].is_punct('[') {
-                    depth += 1;
-                } else if tokens[k].is_punct(']') {
-                    depth -= 1;
-                    if depth == 0 {
-                        k += 1;
-                        break;
-                    }
-                }
-                k += 1;
-            }
-        }
-        if k >= close {
-            break;
-        }
-        if tokens[k].kind != TokKind::Ident {
-            k += 1;
-            continue;
-        }
-        let vname = tokens[k].text.clone();
-        let vline = tokens[k].line;
-        let mut payload = None;
-        k += 1;
-        if k < close && tokens[k].is_punct('(') {
-            // Tuple payload: record the first identifier, skip the rest.
-            let mut depth = 0usize;
-            while k < close {
-                if tokens[k].is_punct('(') {
-                    depth += 1;
-                } else if tokens[k].is_punct(')') {
-                    depth -= 1;
-                    if depth == 0 {
-                        k += 1;
-                        break;
-                    }
-                } else if payload.is_none() && tokens[k].kind == TokKind::Ident {
-                    payload = Some(tokens[k].text.clone());
-                }
-                k += 1;
-            }
-        } else if k < close && tokens[k].is_punct('{') {
-            // Struct payload: skip it.
-            if let Some(c) = matching_brace(tokens, k) {
-                k = c + 1;
-            }
-        } else if k < close && tokens[k].is_punct('=') {
-            // Discriminant: skip to the separating comma.
-            while k < close && !tokens[k].is_punct(',') {
-                k += 1;
-            }
-        }
-        variants.push(Variant {
-            name: vname,
-            payload,
-            line: vline,
-        });
-        // Skip the separating comma.
-        while k < close && tokens[k].is_punct(',') {
-            k += 1;
-        }
-    }
-    Some(EnumDef {
-        name: name_tok.text.clone(),
-        line: name_tok.line,
-        variants,
-    })
-}
-
-/// `macro_rules! name { … }`, collecting `Enum::Variant` paths in the body.
-fn parse_macro(tokens: &[Token], at: usize) -> Option<MacroDef> {
-    let name_tok = &tokens[at + 2];
-    let mut j = at + 3;
-    while j < tokens.len() && !tokens[j].is_punct('{') {
-        j += 1;
-    }
-    let close = matching_brace(tokens, j)?;
-    let mut paths = Vec::new();
-    let mut k = j + 1;
-    while k + 3 <= close {
-        if tokens[k].kind == TokKind::Ident
-            && tokens[k + 1].is_punct(':')
-            && tokens[k + 2].is_punct(':')
-            && tokens.get(k + 3).is_some_and(|t| t.kind == TokKind::Ident)
-        {
-            paths.push(PathRef {
-                enum_name: tokens[k].text.clone(),
-                variant: tokens[k + 3].text.clone(),
-                line: tokens[k].line,
-            });
-            k += 4;
-        } else {
-            k += 1;
-        }
-    }
-    Some(MacroDef {
-        name: name_tok.text.clone(),
-        line: name_tok.line,
-        paths,
+/// `name! { … }`, collecting its `"member" => Variant(Type …` rows.
+/// Returns `None` when the braces hold no such row.
+fn parse_table(tokens: &[Token], at: usize) -> Option<Table> {
+    let close = matching_brace(tokens, at + 2)?;
+    let is_ident = |k: usize| tokens[k].kind == TokKind::Ident;
+    let rows: Vec<TableRow> = (at + 3..close.saturating_sub(5))
+        .filter(|&k| {
+            tokens[k].kind == TokKind::Str
+                && tokens[k + 1].is_punct('=')
+                && tokens[k + 2].is_punct('>')
+                && is_ident(k + 3)
+                && tokens[k + 4].is_punct('(')
+                && is_ident(k + 5)
+        })
+        .map(|k| TableRow {
+            name: tokens[k].text.clone(),
+            variant: tokens[k + 3].text.clone(),
+            payload: tokens[k + 5].text.clone(),
+            line: tokens[k].line,
+        })
+        .collect();
+    (!rows.is_empty()).then(|| Table {
+        name: tokens[at].text.clone(),
+        rows,
     })
 }
 
@@ -469,35 +238,14 @@ mod tests {
     use super::*;
 
     const SRC: &str = r#"
-pub const NAMES: [&str; 2] = [
-    "lru",
-    "fifo",
-];
+macro_rules! zoo {
+    ($($name:literal => $variant:ident($ty:ty) = $ctor:expr;)*) => {};
+}
 
-pub enum Kind {
+zoo! {
     /// docs
-    Lru(Lru),
-    Fifo(Fifo),
-    Bare,
-}
-
-macro_rules! each {
-    ($s:expr, $p:ident => $b:expr) => {
-        match $s {
-            Kind::Lru($p) => $b,
-            Kind::Fifo($p) => $b,
-        }
-    };
-}
-
-impl Kind {
-    pub fn by_name(name: &str) -> Option<Self> {
-        Some(match name {
-            "lru" => Self::Lru(Lru::new()),
-            "fifo" => Self::Fifo(Fifo::new()),
-            _ => return None,
-        })
-    }
+    "lru" => Lru(Lru) = Lru::new();
+    "opt" => Opt(BeladyOpt) = BeladyOpt::new();
 }
 
 fn hot(xs: &[u64]) -> u64 {
@@ -510,47 +258,30 @@ mod tests {
 "#;
 
     #[test]
-    fn const_arrays_with_element_lines() {
+    fn table_rows_with_payloads_and_lines() {
         let idx = index_file(SRC);
-        let c = idx.const_array("NAMES").expect("NAMES indexed");
-        assert_eq!(c.elems.len(), 2);
-        assert_eq!(c.elems[0].0, "lru");
-        assert_eq!(c.elems[0].1, 3);
-        assert_eq!(c.elems[1].0, "fifo");
-    }
-
-    #[test]
-    fn enums_with_payloads() {
-        let idx = index_file(SRC);
-        let e = idx.enum_def("Kind").expect("Kind indexed");
-        let names: Vec<_> = e.variants.iter().map(|v| v.name.as_str()).collect();
-        assert_eq!(names, vec!["Lru", "Fifo", "Bare"]);
-        assert_eq!(e.variants[0].payload.as_deref(), Some("Lru"));
-        assert_eq!(e.variants[2].payload, None);
-    }
-
-    #[test]
-    fn macro_paths_are_collected() {
-        let idx = index_file(SRC);
-        let m = idx.macro_def("each").expect("each indexed");
-        let pairs: Vec<_> = m
-            .paths
+        assert_eq!(
+            idx.tables.len(),
+            1,
+            "the macro_rules! definition is no table"
+        );
+        let t = idx.table("zoo").expect("zoo indexed");
+        let rows: Vec<_> = t
+            .rows
             .iter()
-            .filter(|p| p.enum_name == "Kind")
-            .map(|p| p.variant.as_str())
+            .map(|r| {
+                (
+                    r.name.as_str(),
+                    r.variant.as_str(),
+                    r.payload.as_str(),
+                    r.line,
+                )
+            })
             .collect();
-        assert_eq!(pairs, vec!["Lru", "Fifo"]);
-    }
-
-    #[test]
-    fn str_arms_inside_named_fn() {
-        let idx = index_file(SRC);
-        let arms = idx.str_arms_in_fn("by_name");
-        let pairs: Vec<_> = arms
-            .iter()
-            .map(|a| (a.value.as_str(), a.variant.as_str()))
-            .collect();
-        assert_eq!(pairs, vec![("lru", "Lru"), ("fifo", "Fifo")]);
+        assert_eq!(
+            rows,
+            vec![("lru", "Lru", "Lru", 8), ("opt", "Opt", "BeladyOpt", 9)]
+        );
     }
 
     #[test]

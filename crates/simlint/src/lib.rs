@@ -13,7 +13,7 @@
 //! 1. **Per file**: a line scanner ([`scan`]) separates code from comments
 //!    and blanks literals, the per-file rules ([`rules`]) match on the code
 //!    channel, and a tokenizer + item extractor ([`tokens`], [`index`])
-//!    records the file's consts, enums, macros, functions, and references.
+//!    records the file's registry tables, functions, and references.
 //! 2. **Cross file**: the per-file indices are joined into a
 //!    [`index::WorkspaceIndex`] and the registry-drift and hot-path rules
 //!    ([`rules_xfile`]) run over it.
@@ -346,13 +346,13 @@ mod tests {
 
     #[test]
     fn analyze_reports_dead_exempt_and_dead_hotpath() {
-        let toml = "[registry.zoo]\nkinds = \"crates/core/src/k.rs#Kind\"\ntests = [\"tests\"]\n\n\
+        let toml = "[registry.zoo]\ntable = \"crates/core/src/k.rs#zoo\"\ntests = [\"tests\"]\n\n\
                     [registry.zoo.exempt]\n\"ghost\" = \"never excuses anything\"\n\n\
                     [hotpath]\nfunctions = [\"crates/core/src/k.rs#no_such_fn\"]\n";
         let config = Config::parse(toml).unwrap();
         let files = [
-            file("crates/core/src/k.rs", "pub enum Kind { Lru }\n"),
-            file("tests/t.rs", "fn t() { let _ = Kind::Lru; }\n"),
+            file("crates/core/src/k.rs", "zoo! { \"lru\" => Lru(Lru); }\n"),
+            file("tests/t.rs", "fn t() { let _ = Lru::new(); }\n"),
         ];
         let diags = analyze(&files, &config);
         let x02: Vec<_> = diags.iter().filter(|d| d.rule == "X02").collect();

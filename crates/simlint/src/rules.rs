@@ -11,7 +11,7 @@
 //! | S03  | `catch_unwind` outside the fault-isolation layer |
 //! | X01  | malformed `simlint: allow` (missing `-- reason`) |
 //!
-//! The cross-file rules (R01–R05, P01–P04, X02) live in
+//! The cross-file rules (R04–R05, P01–P04, X02) live in
 //! [`crate::rules_xfile`] and the engine in `lib.rs`. Every rule honours
 //! in-source suppressions of the form `// simlint: allow(Dxx) -- reason`
 //! and the central path allowlists from `simlint.toml`; X01 and X02 are
@@ -23,7 +23,7 @@ use crate::scan::{find_word, find_word_prefix, Scanned};
 
 /// One-line descriptions of every rule id, for the SARIF rule table and
 /// the README.
-pub const RULE_DESCRIPTIONS: [(&str, &str); 18] = [
+pub const RULE_DESCRIPTIONS: [(&str, &str); 15] = [
     (
         "D01",
         "default-hasher HashMap/HashSet in a deterministic crate",
@@ -36,12 +36,6 @@ pub const RULE_DESCRIPTIONS: [(&str, &str); 18] = [
     ("S03", "catch_unwind outside the fault-isolation layer"),
     ("X01", "malformed simlint suppression (missing -- reason)"),
     ("X02", "dead suppression: matched zero diagnostics this run"),
-    ("R01", "registry name list and builder arms disagree"),
-    ("R02", "registry builder arms and enum variants disagree"),
-    (
-        "R03",
-        "registry enum variants and dispatch-macro arms disagree",
-    ),
     (
         "R04",
         "registry member not exercised by the differential-test leg",

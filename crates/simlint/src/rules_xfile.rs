@@ -2,9 +2,6 @@
 //!
 //! | rule | meaning |
 //! |------|---------|
-//! | R01  | registry name list ↔ builder arms disagree |
-//! | R02  | builder arms ↔ enum variants disagree |
-//! | R03  | enum variants ↔ dispatch-macro arms disagree |
 //! | R04  | registry member not exercised by the differential-test leg |
 //! | R05  | registry member not referenced by the figure-suite leg |
 //! | P01  | heap allocation in a `[hotpath]` function |
@@ -12,9 +9,11 @@
 //! | P03  | panicking (unchecked) indexing in a `[hotpath]` function |
 //! | P04  | `dyn` dispatch in a `[hotpath]` function |
 //!
-//! The R-rules walk every `[registry.<id>]` in `simlint.toml` and require
-//! each member to appear on every configured leg; any missing leg is an
-//! error *naming the drifted side*, so the finding reads as a to-do list.
+//! The R-rules walk every `[registry.<id>]` in `simlint.toml`, read its
+//! members from the rows of its `table` macro invocation, and require each
+//! member to appear on the test and figure legs; a missing reference is an
+//! error anchored at the member's table row, naming the leg it is missing
+//! from.
 //! `[registry.<id>.exempt]` entries excuse a member from the reference
 //! legs (R04/R05) with a mandatory reason; unused exemptions are dead
 //! suppressions (X02, reported by the engine in `lib.rs`).
@@ -27,9 +26,9 @@
 //! indexing with an assert naming the invariant is this repo's sanctioned
 //! idiom (the differential batteries run with asserts on).
 
-use crate::config::{path_prefix, Config, ItemRef, Registry};
+use crate::config::{path_prefix, Config, Registry};
 use crate::diag::Diagnostic;
-use crate::index::{FileIndex, FnDef, StrArm, WorkspaceIndex};
+use crate::index::{FileIndex, FnDef, WorkspaceIndex};
 use crate::tokens::TokKind;
 
 /// Raw cross-file findings plus the bookkeeping the dead-suppression rule
@@ -74,275 +73,81 @@ fn push(
 
 // ---------------------------------------------------------------- R-rules
 
-const R_FIX: &str = "wire the member through every registry leg (name list, enum, builder, \
-                     dispatch, differential test, figure) or remove it from all of them";
+const R_FIX: &str = "reference the member from the leg (a differential test, a figure), \
+                     or excuse it with a [registry.<id>.exempt] entry and a reason";
 
 fn check_registry(ws: &WorkspaceIndex, reg: &Registry, ri: usize, out: &mut XfileAnalysis) {
-    let diags = &mut out.diags;
-
-    // Resolve each configured leg; a leg that is configured but does not
-    // resolve is itself drift (someone renamed or moved the item).
-    let names = resolve(ws, reg, &reg.names, "names", "R01", |f, item| {
-        f.const_array(item).map(|c| c.elems.clone())
-    });
-    let names = report_unresolved(names, diags);
-
-    let variants = resolve(ws, reg, &reg.kinds, "kinds", "R02", |f, item| {
-        f.enum_def(item).map(|e| e.variants.clone())
-    });
-    let variants = report_unresolved(variants, diags);
-
-    let arms = resolve(ws, reg, &reg.builder, "builder", "R01", |f, item| {
-        let arms: Vec<StrArm> = f.str_arms_in_fn(item).into_iter().cloned().collect();
-        (!arms.is_empty()).then_some(arms)
-    });
-    let arms = report_unresolved(arms, diags);
-
-    let dispatch_paths = resolve(ws, reg, &reg.dispatch, "dispatch", "R03", |f, item| {
-        f.macro_def(item).map(|m| m.paths.clone())
-    });
-    let dispatch_paths = report_unresolved(dispatch_paths, diags);
-
-    // R01: every listed name has a builder arm, every arm is listed.
-    if let (Some((names_ref, names)), Some((builder_ref, arms))) = (&names, &arms) {
-        for (name, line) in names {
-            if !arms.iter().any(|a| &a.value == name) {
-                push(
-                    diags,
-                    &names_ref.path,
-                    *line,
-                    "R01",
-                    format!(
-                        "registry `{}`: name \"{name}\" has no `{}` arm in {}",
-                        reg.id, builder_ref.item, builder_ref.path
-                    ),
-                    R_FIX,
-                );
-            }
-        }
-        for a in arms {
-            if !names.iter().any(|(n, _)| n == &a.value) {
-                push(
-                    diags,
-                    &builder_ref.path,
-                    a.line,
-                    "R01",
-                    format!(
-                        "registry `{}`: builder arm \"{}\" is not listed in {} ({})",
-                        reg.id, a.value, names_ref.item, names_ref.path
-                    ),
-                    R_FIX,
-                );
-            }
-        }
-    }
-
-    // R02: every builder arm constructs a real variant, every variant has
-    // a constructing arm.
-    if let (Some((builder_ref, arms)), Some((kinds_ref, variants))) = (&arms, &variants) {
-        for a in arms {
-            if !variants.iter().any(|v| v.name == a.variant) {
-                push(
-                    diags,
-                    &builder_ref.path,
-                    a.line,
-                    "R02",
-                    format!(
-                        "registry `{}`: builder arm \"{}\" constructs `{}::{}`, which is not \
-                         a variant of `{}` ({})",
-                        reg.id, a.value, kinds_ref.item, a.variant, kinds_ref.item, kinds_ref.path
-                    ),
-                    R_FIX,
-                );
-            }
-        }
-        for v in variants {
-            if !arms.iter().any(|a| a.variant == v.name) {
-                push(
-                    diags,
-                    &kinds_ref.path,
-                    v.line,
-                    "R02",
-                    format!(
-                        "registry `{}`: variant `{}::{}` is never constructed by `{}` ({})",
-                        reg.id, kinds_ref.item, v.name, builder_ref.item, builder_ref.path
-                    ),
-                    R_FIX,
-                );
-            }
-        }
-    }
-
-    // R03: the dispatch macro covers every variant, and only real ones.
-    if let (Some((kinds_ref, variants)), Some((dispatch_ref, paths))) = (&variants, &dispatch_paths)
-    {
-        let relevant: Vec<_> = paths
-            .iter()
-            .filter(|p| p.enum_name == kinds_ref.item)
-            .collect();
-        for v in variants {
-            if !relevant.iter().any(|p| p.variant == v.name) {
-                push(
-                    diags,
-                    &kinds_ref.path,
-                    v.line,
-                    "R03",
-                    format!(
-                        "registry `{}`: variant `{}::{}` is missing from dispatch macro \
-                         `{}!` ({})",
-                        reg.id, kinds_ref.item, v.name, dispatch_ref.item, dispatch_ref.path
-                    ),
-                    R_FIX,
-                );
-            }
-        }
-        for p in &relevant {
-            if !variants.iter().any(|v| v.name == p.variant) {
-                push(
-                    diags,
-                    &dispatch_ref.path,
-                    p.line,
-                    "R03",
-                    format!(
-                        "registry `{}`: dispatch macro `{}!` names `{}::{}`, which is not a \
-                         variant of `{}` ({})",
-                        reg.id,
-                        dispatch_ref.item,
-                        kinds_ref.item,
-                        p.variant,
-                        kinds_ref.item,
-                        kinds_ref.path
-                    ),
-                    R_FIX,
-                );
-            }
-        }
-    }
+    let Some(table_ref) = &reg.table else {
+        return;
+    };
+    // A table leg that does not resolve is itself drift (someone renamed
+    // or moved the table).
+    let Some(table) = ws
+        .file(&table_ref.path)
+        .and_then(|f| f.table(&table_ref.item))
+    else {
+        push(
+            &mut out.diags,
+            "simlint.toml",
+            reg.line,
+            "R04",
+            format!(
+                "registry `{}`: table `{}!` not found in {} (renamed or moved?)",
+                reg.id, table_ref.item, table_ref.path
+            ),
+            "update the [registry] table to the macro's new name or location",
+        );
+        return;
+    };
 
     // R04/R05: every member is referenced from the test / figure legs.
-    if let Some((kinds_ref, variants)) = &variants {
-        let member_name = |variant: &str| -> String {
-            arms.as_ref()
-                .and_then(|(_, arms)| {
-                    arms.iter()
-                        .find(|a| a.variant == variant)
-                        .map(|a| a.value.clone())
-                })
-                .unwrap_or_else(|| variant.to_lowercase())
-        };
-        for (rule, leg, leg_name) in [
-            ("R04", &reg.tests, "differential-test"),
-            ("R05", &reg.figures, "figure-suite"),
-        ] {
-            if leg.is_empty() {
+    for (rule, leg, leg_name) in [
+        ("R04", &reg.tests, "differential-test"),
+        ("R05", &reg.figures, "figure-suite"),
+    ] {
+        if leg.is_empty() {
+            continue;
+        }
+        let files: Vec<&FileIndex> = ws
+            .files
+            .iter()
+            .filter(|(rel, _)| leg.iter().any(|p| path_prefix(rel, p)))
+            .map(|(_, f)| f)
+            .collect();
+        for row in &table.rows {
+            let ident_hit = files
+                .iter()
+                .any(|f| f.idents.contains(&row.variant) || f.idents.contains(&row.payload));
+            // Figure tables reference policies by display string
+            // ("SRRIP", "Hawkeye"), so R05 also accepts a
+            // case-insensitive string-literal match.
+            let string_hit = rule == "R05"
+                && files.iter().any(|f| {
+                    f.strings_lower.contains(&row.name)
+                        || f.strings_lower.contains(&row.variant.to_lowercase())
+                });
+            if ident_hit || string_hit {
                 continue;
             }
-            let files: Vec<&FileIndex> = ws
-                .files
-                .iter()
-                .filter(|(rel, _)| leg.iter().any(|p| path_prefix(rel, p)))
-                .map(|(_, f)| f)
-                .collect();
-            for v in variants {
-                let name = member_name(&v.name);
-                let ident_hit = files.iter().any(|f| {
-                    f.idents.contains(&v.name)
-                        || v.payload.as_ref().is_some_and(|p| f.idents.contains(p))
-                });
-                // Figure tables reference policies by display string
-                // ("SRRIP", "Hawkeye"), so R05 also accepts a
-                // case-insensitive string-literal match.
-                let string_hit = rule == "R05"
-                    && files.iter().any(|f| {
-                        f.strings_lower.contains(&name)
-                            || f.strings_lower.contains(&v.name.to_lowercase())
-                    });
-                if ident_hit || string_hit {
-                    continue;
-                }
-                if let Some(ei) = reg.exempt.iter().position(|e| e.name == name) {
-                    out.used_exempts.push((ri, ei));
-                    continue;
-                }
-                let payload = v
-                    .payload
-                    .as_deref()
-                    .map(|p| format!(" (payload `{p}`)"))
-                    .unwrap_or_default();
-                let rule_static: &'static str = if rule == "R04" { "R04" } else { "R05" };
-                push(
-                    diags,
-                    &kinds_ref.path,
-                    v.line,
-                    rule_static,
-                    format!(
-                        "registry `{}`: member \"{name}\"{payload} is not referenced by the \
-                         {leg_name} leg ({})",
-                        reg.id,
-                        leg.join(", ")
-                    ),
-                    R_FIX,
-                );
+            if let Some(ei) = reg.exempt.iter().position(|e| e.name == row.name) {
+                out.used_exempts.push((ri, ei));
+                continue;
             }
-        }
-    }
-}
-
-type Resolved<'a, T> = Option<(&'a ItemRef, T)>;
-
-/// Resolves one leg reference; `Err` carries the diagnostic for a
-/// configured-but-unresolvable leg.
-#[allow(clippy::type_complexity)] // one call site per leg, the tuple is local plumbing
-fn resolve<'a, T>(
-    ws: &'a WorkspaceIndex,
-    reg: &'a Registry,
-    leg: &'a Option<ItemRef>,
-    leg_name: &str,
-    rule: &'static str,
-    extract: impl Fn(&'a FileIndex, &str) -> Option<T>,
-) -> Result<Resolved<'a, T>, Diagnostic> {
-    let Some(item_ref) = leg else {
-        return Ok(None);
-    };
-    let Some(file) = ws.file(&item_ref.path) else {
-        return Err(Diagnostic {
-            file: "simlint.toml".to_owned(),
-            line: reg.line,
-            col: 1,
-            rule,
-            message: format!(
-                "registry `{}`: {leg_name} leg points at `{}`, which is not in the workspace \
-                 walk",
-                reg.id, item_ref.path
-            ),
-            fix: "update the [registry] leg to the item's new location".to_owned(),
-        });
-    };
-    match extract(file, &item_ref.item) {
-        Some(t) => Ok(Some((item_ref, t))),
-        None => Err(Diagnostic {
-            file: item_ref.path.clone(),
-            line: 1,
-            col: 1,
-            rule,
-            message: format!(
-                "registry `{}`: {leg_name} leg `{}` not found in {} (renamed or removed?)",
-                reg.id, item_ref.item, item_ref.path
-            ),
-            fix: "update the [registry] leg to the item's new name".to_owned(),
-        }),
-    }
-}
-
-fn report_unresolved<'a, T>(
-    r: Result<Resolved<'a, T>, Diagnostic>,
-    diags: &mut Vec<Diagnostic>,
-) -> Resolved<'a, T> {
-    match r {
-        Ok(v) => v,
-        Err(d) => {
-            diags.push(d);
-            None
+            push(
+                &mut out.diags,
+                &table_ref.path,
+                row.line,
+                rule,
+                format!(
+                    "registry `{}`: member \"{}\" (`{}`) is not referenced by the {leg_name} \
+                     leg ({})",
+                    reg.id,
+                    row.name,
+                    row.payload,
+                    leg.join(", ")
+                ),
+                R_FIX,
+            );
         }
     }
 }
@@ -515,37 +320,22 @@ mod tests {
 
     const REG_TOML: &str = r#"
 [registry.zoo]
-names = "a.rs#NAMES"
-kinds = "a.rs#Kind"
-builder = "a.rs#by_name"
-dispatch = "a.rs#each"
+table = "a.rs#zoo"
 tests = ["t.rs"]
 figures = ["g.rs"]
 "#;
 
-    const CONSISTENT: &str = r#"
-pub const NAMES: [&str; 2] = ["lru", "fifo"];
-pub enum Kind { Lru(Lru), Fifo(Fifo) }
-macro_rules! each {
-    ($s:expr, $p:ident => $b:expr) => {
-        match $s { Kind::Lru($p) => $b, Kind::Fifo($p) => $b }
-    };
-}
-impl Kind {
-    pub fn by_name(n: &str) -> Option<Self> {
-        Some(match n {
-            "lru" => Self::Lru(Lru::new()),
-            "fifo" => Self::Fifo(Fifo::new()),
-            _ => return None,
-        })
-    }
+    const TABLE: &str = r#"
+zoo! {
+    "lru" => Lru(Lru) = Lru::new();
+    "fifo" => Fifo(Fifo) = Fifo::new();
 }
 "#;
 
     #[test]
     fn consistent_registry_is_clean() {
         let w = ws(&[
-            ("a.rs", CONSISTENT),
+            ("a.rs", TABLE),
             ("t.rs", "fn t() { let _ = (Lru::new(), Fifo::new()); }"),
             ("g.rs", "fn g() { plot(\"LRU\", \"FIFO\"); }"),
         ]);
@@ -554,68 +344,9 @@ impl Kind {
     }
 
     #[test]
-    fn r01_fires_both_directions() {
-        // "ghost" listed but no arm; arm "fifo" not listed.
-        let src = CONSISTENT.replace(
-            "pub const NAMES: [&str; 2] = [\"lru\", \"fifo\"];",
-            "pub const NAMES: [&str; 2] = [\"lru\", \"ghost\"];",
-        );
-        let w = ws(&[
-            ("a.rs", &src),
-            ("t.rs", "fn t() { Lru::new(); Fifo::new(); }"),
-            ("g.rs", "fn g() { plot(\"lru\", \"fifo\"); }"),
-        ]);
-        let a = run_xfile(&w, &cfg(REG_TOML));
-        let r01: Vec<_> = a.diags.iter().filter(|d| d.rule == "R01").collect();
-        assert_eq!(r01.len(), 2, "{:?}", a.diags);
-        assert!(r01.iter().any(|d| d.message.contains("\"ghost\"")));
-        assert!(r01.iter().any(|d| d.message.contains("\"fifo\"")));
-    }
-
-    #[test]
-    fn r02_catches_unconstructed_variant() {
-        let src = CONSISTENT.replace(
-            "pub enum Kind { Lru(Lru), Fifo(Fifo) }",
-            "pub enum Kind { Lru(Lru), Fifo(Fifo), Ghost(GhostP) }",
-        );
-        let w = ws(&[
-            ("a.rs", &src),
-            (
-                "t.rs",
-                "fn t() { let _ = (Lru::new(), Fifo::new(), GhostP::new()); }",
-            ),
-            ("g.rs", "fn g() { plot(\"lru\", \"fifo\", \"ghost\"); }"),
-        ]);
-        let a = run_xfile(&w, &cfg(REG_TOML));
-        assert!(
-            a.diags
-                .iter()
-                .any(|d| d.rule == "R02" && d.message.contains("Ghost")),
-            "{:?}",
-            a.diags
-        );
-        // The dispatch macro also lacks the new variant.
-        assert!(a.diags.iter().any(|d| d.rule == "R03"));
-    }
-
-    #[test]
-    fn r03_catches_missing_dispatch_arm() {
-        let src = CONSISTENT.replace("Kind::Fifo($p) => $b ", "");
-        let w = ws(&[
-            ("a.rs", &src),
-            ("t.rs", "fn t() { let _ = (Lru::new(), Fifo::new()); }"),
-            ("g.rs", "fn g() { plot(\"lru\", \"fifo\"); }"),
-        ]);
-        let a = run_xfile(&w, &cfg(REG_TOML));
-        let r03: Vec<_> = a.diags.iter().filter(|d| d.rule == "R03").collect();
-        assert_eq!(r03.len(), 1, "{:?}", a.diags);
-        assert!(r03[0].message.contains("Fifo"), "{:?}", r03[0]);
-    }
-
-    #[test]
     fn r04_requires_test_leg_reference() {
         let w = ws(&[
-            ("a.rs", CONSISTENT),
+            ("a.rs", TABLE),
             ("t.rs", "fn t() { Lru::new(); }"), // Fifo untested
             ("g.rs", "fn g() { plot(\"lru\", \"fifo\"); }"),
         ]);
@@ -623,13 +354,18 @@ impl Kind {
         let r04: Vec<_> = a.diags.iter().filter(|d| d.rule == "R04").collect();
         assert_eq!(r04.len(), 1, "{:?}", a.diags);
         assert!(r04[0].message.contains("\"fifo\""));
+        assert_eq!(
+            (r04[0].file.as_str(), r04[0].line),
+            ("a.rs", 4),
+            "at the row"
+        );
     }
 
     #[test]
     fn r05_accepts_case_insensitive_strings_and_exempts() {
         // Figures reference LRU only by display string; fifo not at all.
         let w = ws(&[
-            ("a.rs", CONSISTENT),
+            ("a.rs", TABLE),
             ("t.rs", "fn t() { Lru::new(); Fifo::new(); }"),
             ("g.rs", "fn g() { plot(\"LRU\"); }"),
         ]);
@@ -646,14 +382,18 @@ impl Kind {
 
     #[test]
     fn unresolved_legs_are_reported() {
-        let toml = "[registry.zoo]\nnames = \"a.rs#NO_SUCH\"\nkinds = \"missing.rs#Kind\"\n";
-        let w = ws(&[("a.rs", CONSISTENT)]);
-        let a = run_xfile(&w, &cfg(toml));
-        assert!(a.diags.iter().any(|d| d.rule == "R01" && d.file == "a.rs"));
-        assert!(a
-            .diags
-            .iter()
-            .any(|d| d.rule == "R02" && d.file == "simlint.toml"));
+        let w = ws(&[("a.rs", TABLE)]);
+        for toml in [
+            "[registry.zoo]\ntable = \"a.rs#no_such\"\ntests = [\"t.rs\"]\n",
+            "[registry.zoo]\ntable = \"missing.rs#zoo\"\ntests = [\"t.rs\"]\n",
+        ] {
+            let a = run_xfile(&w, &cfg(toml));
+            assert_eq!(a.diags.len(), 1, "{:?}", a.diags);
+            assert_eq!(
+                (a.diags[0].rule, a.diags[0].file.as_str()),
+                ("R04", "simlint.toml")
+            );
+        }
     }
 
     const HOT_TOML: &str = "[hotpath]\nfunctions = [\"h.rs#hot\"]\n";

@@ -5,15 +5,15 @@
 //! clean run looks identical to a blind one. The self-check guards against
 //! that: it loads the real workspace, verifies the baseline is clean, then
 //! applies a battery of seeded mutations to an *in-memory copy* of the
-//! files (dropping a registry name, renaming a dispatch arm, planting an
-//! allocation in a hot-path function, appending a dead suppression) and
+//! files (adding a ghost row to a registry table, planting an allocation
+//! in a hot-path function, appending a dead suppression) and
 //! asserts each mutation is caught by exactly the intended rule. Nothing
 //! on disk is touched.
 //!
 //! The mutation sites are located through the same item index the rules
 //! use, so the battery does not rot when registries gain members or files
-//! move: "drop the first name" tracks whatever the first name currently
-//! is.
+//! move: the ghost row is cloned from whatever the table's first row
+//! currently is.
 
 use crate::config::{Config, HotPathFn};
 use crate::index::index_file;
@@ -57,7 +57,7 @@ pub fn self_check_files(files: &[SourceFile], config: &Config) -> Vec<String> {
     }
 
     let mut mutations: Vec<Mutation> = Vec::new();
-    build_registry_mutations(files, config, &mut mutations, &mut failures);
+    build_ghost_row(files, config, &mut mutations, &mut failures);
     build_hotpath_seeds(files, config, &mut mutations);
     build_dead_suppression_seed(files, config, &mut mutations, &mut failures);
 
@@ -115,115 +115,49 @@ fn with_edited(files: &[SourceFile], rel: &str, text: String) -> Vec<SourceFile>
         .collect()
 }
 
-/// Mutations against the first configured registry: drop a name (R01),
-/// rename a dispatch arm (R03), delete an enum variant (R02 + R03).
-fn build_registry_mutations(
+/// Adds a ghost member to the first configured registry's table: a copy of
+/// the first row under a new name, variant and payload. Nothing references
+/// it, so it must trip exactly R04 and R05.
+fn build_ghost_row(
     files: &[SourceFile],
     config: &Config,
     out: &mut Vec<Mutation>,
     failures: &mut Vec<String>,
 ) {
-    let Some(reg) = config.registries.first() else {
+    let Some(table_ref) = config.registries.first().and_then(|r| r.table.as_ref()) else {
         failures.push(
-            "no [registry.<id>] section configured; the R-rule battery has nothing to \
-             mutate"
+            "no [registry.<id>] table configured; the R-rule battery has nothing to mutate"
                 .to_owned(),
         );
         return;
     };
-
-    // R01: drop the first listed name; the builder arm for it survives
-    // and must be reported as unlisted.
-    if let Some(names_ref) = &reg.names {
-        match find_file(files, &names_ref.path)
-            .and_then(|f| index_file(&f.text).const_array(&names_ref.item).cloned())
-            .and_then(|c| c.elems.first().cloned())
-        {
-            Some((name, line)) => {
-                let src = &find_file(files, &names_ref.path)
-                    .expect("resolved above")
-                    .text;
-                let needle = format!("\"{name}\"");
-                let mutated = edit_line(src, line, |l| {
-                    l.replacen(&format!("{needle}, "), "", 1)
-                        .replacen(&format!("{needle},"), "", 1)
-                        .replacen(&needle, "", 1)
-                });
-                out.push(Mutation {
-                    name: "drop-registry-name",
-                    files: with_edited(files, &names_ref.path, mutated),
-                    config: config.clone(),
-                    expect: &["R01"],
-                });
-            }
-            None => failures.push(format!(
-                "cannot locate registry name list `{}#{}` to mutate",
-                names_ref.path, names_ref.item
-            )),
-        }
-    }
-
-    // R03: rename the first dispatch-macro arm's variant; the macro now
-    // both misses a real variant and names a ghost one.
-    if let (Some(dispatch_ref), Some(kinds_ref)) = (&reg.dispatch, &reg.kinds) {
-        match find_file(files, &dispatch_ref.path)
-            .and_then(|f| index_file(&f.text).macro_def(&dispatch_ref.item).cloned())
-            .and_then(|m| {
-                m.paths
-                    .iter()
-                    .find(|p| p.enum_name == kinds_ref.item)
-                    .cloned()
-            }) {
-            Some(path) => {
-                let src = &find_file(files, &dispatch_ref.path)
-                    .expect("resolved above")
-                    .text;
-                let mutated = edit_line(src, path.line, |l| {
-                    l.replacen(
-                        &format!("::{}", path.variant),
-                        &format!("::{}SelfCheck", path.variant),
-                        1,
-                    )
-                });
-                out.push(Mutation {
-                    name: "rename-dispatch-arm",
-                    files: with_edited(files, &dispatch_ref.path, mutated),
-                    config: config.clone(),
-                    expect: &["R03"],
-                });
-            }
-            None => failures.push(format!(
-                "cannot locate a `{}` arm in dispatch macro `{}#{}` to mutate",
-                kinds_ref.item, dispatch_ref.path, dispatch_ref.item
-            )),
-        }
-    }
-
-    // R02 + R03: delete the first enum variant; its builder arm now
-    // constructs a ghost and the dispatch macro still names it.
-    if let Some(kinds_ref) = &reg.kinds {
-        match find_file(files, &kinds_ref.path)
-            .and_then(|f| index_file(&f.text).enum_def(&kinds_ref.item).cloned())
-            .and_then(|e| e.variants.first().cloned())
-        {
-            Some(variant) => {
-                let src = &find_file(files, &kinds_ref.path)
-                    .expect("resolved above")
-                    .text;
-                let mutated = edit_line(src, variant.line, |_| String::new());
-                out.push(Mutation {
-                    name: "delete-enum-variant",
-                    files: with_edited(files, &kinds_ref.path, mutated),
-                    config: config.clone(),
-                    expect: &["R02", "R03"],
-                });
-            }
-            None => failures.push(format!(
-                "cannot locate a variant of `{}#{}` to mutate",
-                kinds_ref.path, kinds_ref.item
-            )),
-        }
-    }
+    let Some((file, row)) = find_file(files, &table_ref.path).and_then(|f| {
+        let row = index_file(&f.text)
+            .table(&table_ref.item)?
+            .rows
+            .first()?
+            .clone();
+        Some((f, row))
+    }) else {
+        failures.push(format!(
+            "cannot locate a row of table `{}#{}` to mutate",
+            table_ref.path, table_ref.item
+        ));
+        return;
+    };
+    let mutated = edit_line(&file.text, row.line, |l| {
+        let ghost = l
+            .replacen(&format!("\"{}\"", row.name), "\"selfcheck-ghost\"", 1)
+            .replacen(&format!("{}(", row.variant), "SelfCheckGhost(", 1)
+            .replacen(&format!("({}", row.payload), "(SelfCheckGhostPolicy", 1);
+        format!("{ghost}\n{l}")
+    });
+    out.push(Mutation {
+        name: "ghost-table-row",
+        files: with_edited(files, &table_ref.path, mutated),
+        config: config.clone(),
+        expect: &["R04", "R05"],
+    });
 }
 
 /// Plants one violation per P-rule in a synthetic hot-path function. The
@@ -305,27 +239,9 @@ mod tests {
     /// figure references, one hot-path function.
     fn mini_workspace() -> (Vec<SourceFile>, Config) {
         let reg_src = "\
-pub const NAMES: [&str; 2] = [\"lru\", \"fifo\"];
-pub enum Kind {
-    Lru(Lru),
-    Fifo(Fifo),
-}
-macro_rules! each {
-    ($s:expr, $p:ident => $b:expr) => {
-        match $s {
-            Kind::Lru($p) => $b,
-            Kind::Fifo($p) => $b,
-        }
-    };
-}
-impl Kind {
-    pub fn by_name(n: &str) -> Option<Self> {
-        Some(match n {
-            \"lru\" => Self::Lru(Lru::new()),
-            \"fifo\" => Self::Fifo(Fifo::new()),
-            _ => return None,
-        })
-    }
+zoo! {
+    \"lru\" => Lru(Lru) = Lru::new();
+    \"fifo\" => Fifo(Fifo) = Fifo::new();
 }
 pub fn hot(xs: &[u64]) -> u64 {
     let mut acc = 0;
@@ -351,10 +267,7 @@ pub fn hot(xs: &[u64]) -> u64 {
         ];
         let toml = "\
 [registry.zoo]
-names = \"crates/z/src/lib.rs#NAMES\"
-kinds = \"crates/z/src/lib.rs#Kind\"
-builder = \"crates/z/src/lib.rs#by_name\"
-dispatch = \"crates/z/src/lib.rs#each\"
+table = \"crates/z/src/lib.rs#zoo\"
 tests = [\"tests/t.rs\"]
 figures = [\"crates/fig\"]
 

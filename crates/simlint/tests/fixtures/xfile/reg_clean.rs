@@ -1,26 +1,5 @@
-//! Consistent registry: every member appears on every leg.
-pub const NAMES: [&str; 2] = ["lru", "fifo"];
-
-pub enum Kind {
-    Lru(Lru),
-    Fifo(Fifo),
-}
-
-macro_rules! each {
-    ($s:expr, $p:ident => $b:expr) => {
-        match $s {
-            Kind::Lru($p) => $b,
-            Kind::Fifo($p) => $b,
-        }
-    };
-}
-
-impl Kind {
-    pub fn by_name(n: &str) -> Option<Self> {
-        Some(match n {
-            "lru" => Self::Lru(Lru::new()),
-            "fifo" => Self::Fifo(Fifo::new()),
-            _ => return None,
-        })
-    }
+//! Consistent registry: every table member appears on every leg.
+zoo! {
+    "lru" => Lru(Lru) = Lru::new();
+    "fifo" => Fifo(Fifo) = Fifo::new();
 }

@@ -1,4 +1,4 @@
 //! Figure-suite leg: references every member by display string.
 fn figures() {
-    plot("LRU", "FIFO", "Ghost");
+    plot("LRU", "FIFO");
 }

@@ -1,5 +1,5 @@
 //! Fixture tests for the cross-file rules: for every R/P rule a violating
-//! fixture workspace is caught, a suppressed one is silent, and the clean
+//! fixture workspace is caught, an excused one is silent, and the clean
 //! one produces nothing — plus the X02 dead-suppression meta-rule in both
 //! its in-source and central forms.
 //!
@@ -13,10 +13,7 @@ use simlint::{analyze, Config, Diagnostic, SourceFile};
 /// The registry legs every reg_* fixture resolves against.
 const REG_TOML: &str = r#"
 [registry.zoo]
-names = "crates/core/src/reg.rs#NAMES"
-kinds = "crates/core/src/reg.rs#Kind"
-builder = "crates/core/src/reg.rs#by_name"
-dispatch = "crates/core/src/reg.rs#each"
+table = "crates/core/src/reg.rs#zoo"
 tests = ["tests/battery.rs"]
 figures = ["crates/bench/src/figures.rs"]
 "#;
@@ -64,73 +61,6 @@ fn consistent_registry_workspace_is_clean() {
         REG_TOML,
     );
     assert!(diags.is_empty(), "{}", simlint::render_text(&diags));
-}
-
-#[test]
-fn r01_hit_suppressed() {
-    let hit = analyze_registry(
-        include_str!("fixtures/xfile/reg_r01_hit.rs"),
-        TESTS_LEG,
-        FIGURES_LEG,
-        REG_TOML,
-    );
-    assert_eq!(rules_of(&hit), vec!["R01"], "{hit:?}");
-    assert!(hit[0].message.contains("\"ghost\""), "{:?}", hit[0]);
-    assert!(
-        hit[0].file == "crates/core/src/reg.rs" && hit[0].line > 0,
-        "anchors at the drifted name: {:?}",
-        hit[0]
-    );
-
-    let suppressed = analyze_registry(
-        include_str!("fixtures/xfile/reg_r01_suppressed.rs"),
-        TESTS_LEG,
-        FIGURES_LEG,
-        REG_TOML,
-    );
-    assert!(suppressed.is_empty(), "{suppressed:?}");
-}
-
-#[test]
-fn r02_hit_suppressed() {
-    // An unconstructed variant also misses the dispatch macro, so the hit
-    // fixture trips R02 and R03 together — both anchored at the variant.
-    let hit = analyze_registry(
-        include_str!("fixtures/xfile/reg_r02_hit.rs"),
-        TESTS_LEG,
-        FIGURES_LEG,
-        REG_TOML,
-    );
-    assert_eq!(rules_of(&hit), vec!["R02", "R03"], "{hit:?}");
-    assert!(hit.iter().all(|d| d.message.contains("Ghost")), "{hit:?}");
-
-    let suppressed = analyze_registry(
-        include_str!("fixtures/xfile/reg_r02_suppressed.rs"),
-        TESTS_LEG,
-        FIGURES_LEG,
-        REG_TOML,
-    );
-    assert!(suppressed.is_empty(), "{suppressed:?}");
-}
-
-#[test]
-fn r03_hit_suppressed() {
-    let hit = analyze_registry(
-        include_str!("fixtures/xfile/reg_r03_hit.rs"),
-        TESTS_LEG,
-        FIGURES_LEG,
-        REG_TOML,
-    );
-    assert_eq!(rules_of(&hit), vec!["R03"], "{hit:?}");
-    assert!(hit[0].message.contains("Fifo"), "{:?}", hit[0]);
-
-    let suppressed = analyze_registry(
-        include_str!("fixtures/xfile/reg_r03_suppressed.rs"),
-        TESTS_LEG,
-        FIGURES_LEG,
-        REG_TOML,
-    );
-    assert!(suppressed.is_empty(), "{suppressed:?}");
 }
 
 #[test]

@@ -6,10 +6,11 @@
 //! cargo run --release -p thermometer --example design_space
 //! ```
 
+use btb_model::policies::{BeladyOpt, Lru};
 use btb_model::BtbConfig;
 use btb_workloads::{AppSpec, InputConfig};
 use thermometer::pipeline::{Pipeline, PipelineConfig};
-use thermometer::TemperatureConfig;
+use thermometer::{TemperatureConfig, ThermometerPolicy};
 use uarch_sim::FrontendConfig;
 
 const TRACE_LEN: usize = 800_000;
@@ -25,9 +26,9 @@ fn main() {
         let pipeline =
             Pipeline::new(PipelineConfig::default()).with_btb(BtbConfig::new(entries, 4));
         let hints = pipeline.profile_to_hints(&train);
-        let lru = pipeline.run_lru(&test);
-        let therm = pipeline.run_thermometer(&test, &hints);
-        let opt = pipeline.run_opt(&test);
+        let lru = pipeline.run(&test, Lru::new(), None);
+        let therm = pipeline.run(&test, ThermometerPolicy::new(), Some(&hints));
+        let opt = pipeline.run(&test, BeladyOpt::new(), None);
         println!(
             "{entries:7}   {:8.3}   {:10.3}   {:8.3}   {:+12.2}%",
             lru.btb_mpki(),
@@ -54,8 +55,8 @@ fn main() {
         let hist = hints.category_histogram();
         let hottest = *hist.last().expect("non-empty histogram") as f64; // hottest category
         let total: usize = hist.iter().sum();
-        let lru = pipeline.run_lru(&test);
-        let therm = pipeline.run_thermometer(&test, &hints);
+        let lru = pipeline.run(&test, Lru::new(), None);
+        let therm = pipeline.run(&test, ThermometerPolicy::new(), Some(&hints));
         println!(
             "{categories:10}   {bits:4}   {:10.1}%   {:+12.2}%",
             hottest / total as f64 * 100.0,
@@ -67,8 +68,8 @@ fn main() {
     for config in [BtbConfig::table1(), BtbConfig::iso_storage_7979()] {
         let pipeline = Pipeline::new(PipelineConfig::default()).with_btb(config);
         let hints = pipeline.profile_to_hints(&train);
-        let lru = Pipeline::new(PipelineConfig::default()).run_lru(&test);
-        let therm = pipeline.run_thermometer(&test, &hints);
+        let lru = Pipeline::new(PipelineConfig::default()).run(&test, Lru::new(), None);
+        let therm = pipeline.run(&test, ThermometerPolicy::new(), Some(&hints));
         println!(
             "{:5}-entry Thermometer vs 8192-entry LRU: {:+.2}%",
             config.entries(),

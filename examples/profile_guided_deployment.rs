@@ -6,8 +6,10 @@
 //! cargo run --release -p thermometer --example profile_guided_deployment
 //! ```
 
+use btb_model::policies::{BeladyOpt, Lru};
 use btb_workloads::{AppSpec, InputConfig};
 use thermometer::pipeline::{Pipeline, PipelineConfig};
+use thermometer::ThermometerPolicy;
 
 const TRACE_LEN: usize = 1_200_000;
 
@@ -33,10 +35,10 @@ fn main() {
             let same_hints = pipeline.profile_to_hints(&test);
             let agreement = train_hints.agreement_with(&same_hints);
 
-            let lru = pipeline.run_lru(&test);
-            let cross = pipeline.run_thermometer(&test, &train_hints);
-            let same = pipeline.run_thermometer(&test, &same_hints);
-            let opt = pipeline.run_opt(&test);
+            let lru = pipeline.run(&test, Lru::new(), None);
+            let cross = pipeline.run(&test, ThermometerPolicy::new(), Some(&train_hints));
+            let same = pipeline.run(&test, ThermometerPolicy::new(), Some(&same_hints));
+            let opt = pipeline.run(&test, BeladyOpt::new(), None);
             println!(
                 "#{input}       {:>6.1}%   {:>10}   {:>12}   {:>11}   {:>6}",
                 agreement * 100.0,

@@ -5,8 +5,10 @@
 //! cargo run --release -p thermometer --example quickstart
 //! ```
 
+use btb_model::policies::{BeladyOpt, Lru, Srrip};
 use btb_workloads::{AppSpec, InputConfig};
 use thermometer::pipeline::{Pipeline, PipelineConfig};
+use thermometer::ThermometerPolicy;
 
 fn main() {
     // 1. A synthetic data center application (see btb-workloads for the
@@ -39,10 +41,10 @@ fn main() {
 
     // 3. Simulate the *test* input (a different execution) under each
     //    policy on the Table 1 frontend.
-    let lru = pipeline.run_lru(&test);
-    let srrip = pipeline.run_srrip(&test);
-    let therm = pipeline.run_thermometer(&test, &hints);
-    let opt = pipeline.run_opt(&test);
+    let lru = pipeline.run(&test, Lru::new(), None);
+    let srrip = pipeline.run(&test, Srrip::new(), None);
+    let therm = pipeline.run(&test, ThermometerPolicy::new(), Some(&hints));
+    let opt = pipeline.run(&test, BeladyOpt::new(), None);
 
     println!("\npolicy        IPC     BTB MPKI   speedup over LRU");
     for report in [&lru, &srrip, &therm, &opt] {

@@ -6,8 +6,10 @@
 //! cargo run --release -p thermometer --example trace_suites
 //! ```
 
+use btb_model::policies::{Ghrp, GhrpConfig, Lru, Srrip};
 use btb_workloads::{cbp5_suite, ipc1_suite, SuiteParams};
 use thermometer::pipeline::{Pipeline, PipelineConfig};
+use thermometer::ThermometerPolicy;
 
 fn main() {
     let pipeline = Pipeline::new(PipelineConfig::default());
@@ -18,9 +20,9 @@ fn main() {
     let mut ties = 0;
     let mut losses = 0;
     for trace in &traces {
-        let ghrp = pipeline.run_ghrp(trace);
+        let ghrp = pipeline.run(trace, Ghrp::new(GhrpConfig::default()), None);
         let hints = pipeline.profile_to_hints(trace);
-        let therm = pipeline.run_thermometer(trace, &hints);
+        let therm = pipeline.run(trace, ThermometerPolicy::new(), Some(&hints));
         let reduction = therm.miss_reduction_over(&ghrp);
         match reduction {
             r if r > 0.01 => wins += 1,
@@ -41,10 +43,12 @@ fn main() {
     let mut srrip_sum = 0.0;
     let mut therm_sum = 0.0;
     for trace in &traces {
-        let lru = pipeline.run_lru(trace);
+        let lru = pipeline.run(trace, Lru::new(), None);
         let hints = pipeline.profile_to_hints(trace);
-        let srrip = pipeline.run_srrip(trace).speedup_over(&lru);
-        let therm = pipeline.run_thermometer(trace, &hints).speedup_over(&lru);
+        let srrip = pipeline.run(trace, Srrip::new(), None).speedup_over(&lru);
+        let therm = pipeline
+            .run(trace, ThermometerPolicy::new(), Some(&hints))
+            .speedup_over(&lru);
         srrip_sum += srrip;
         therm_sum += therm;
         println!(

@@ -38,9 +38,9 @@ CARGO_TARGET_DIR=.bench_build cargo test -q --manifest-path benchmark/Cargo.toml
 echo "==> figures --threads 2 smoke (parallel path, byte-compared against serial)"
 smoke_env=(THERMO_TRACE_LEN=40000 THERMO_CBP_COUNT=4 THERMO_CBP_LEN=10000
            THERMO_IPC1_COUNT=4 THERMO_IPC1_LEN=10000 THERMO_APPS=kafka,python)
-env "${smoke_env[@]}" ./target/release/figures fig01 fig09 fig17 trrip hierarchy \
+env "${smoke_env[@]}" ./target/release/figures fig01 fig04 fig09 fig15 fig17 fig21 trrip hierarchy \
     --threads 1 --markdown /tmp/ci_serial.md --grid-stats /tmp/ci_grid_serial.json >/dev/null
-env "${smoke_env[@]}" ./target/release/figures fig01 fig09 fig17 trrip hierarchy \
+env "${smoke_env[@]}" ./target/release/figures fig01 fig04 fig09 fig15 fig17 fig21 trrip hierarchy \
     --threads 2 --markdown /tmp/ci_parallel.md --grid-stats /tmp/ci_grid_parallel.json >/dev/null
 cmp /tmp/ci_serial.md /tmp/ci_parallel.md
 # The parallel run served repeat traces from the trace memo, so the

@@ -1,0 +1,79 @@
+//! Black-box test of the `btbsim` binary: it parses `--policy` against the
+//! whole policy vocabulary, runs every named policy over a real trace file,
+//! and rejects an unknown name with the usage exit code.
+//!
+//! The traces come from the `tracegen` binary, so the test drives the same
+//! file path a user does: generate, then simulate.
+
+use std::path::PathBuf;
+use std::process::{Command, Output};
+
+use thermometer::pipeline::POLICY_NAMES;
+use thermometer::PolicyKind;
+
+use btb_model::ReplacementPolicy;
+
+fn scratch(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join("btbsim-cli-tests").join(name);
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    dir
+}
+
+/// Writes a small kafka trace for `input` with `tracegen`.
+fn tracegen(dir: &std::path::Path, input: u32) -> PathBuf {
+    let path = dir.join(format!("kafka{input}.btbt"));
+    let out = Command::new(env!("CARGO_BIN_EXE_tracegen"))
+        .args(["app", "kafka", "--input", &input.to_string()])
+        .args(["--records", "20000", "--out"])
+        .arg(&path)
+        .output()
+        .expect("spawn tracegen");
+    assert!(out.status.success(), "tracegen failed: {out:?}");
+    path
+}
+
+fn btbsim(args: &[&str], trace: &std::path::Path) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_btbsim"))
+        .arg(trace)
+        .args(args)
+        .output()
+        .expect("spawn btbsim")
+}
+
+#[test]
+fn every_policy_name_runs_and_reports_in_order() {
+    let dir = scratch("all-policies");
+    let train = tracegen(&dir, 0);
+    let test = tracegen(&dir, 1);
+    let all = POLICY_NAMES.join(",");
+    let train = train.to_str().expect("utf-8 path");
+    let out = btbsim(
+        &["--policy", &all, "--profile", train, "--threads", "2"],
+        &test,
+    );
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+
+    let stdout = String::from_utf8(out.stdout).expect("utf-8 report");
+    let labels: Vec<&str> = stdout
+        .lines()
+        .filter_map(|l| l.strip_prefix("policy "))
+        .map(str::trim)
+        .collect();
+    let expected: Vec<&str> = POLICY_NAMES
+        .iter()
+        .map(|n| PolicyKind::by_name(n).expect("vocabulary name").name())
+        .collect();
+    assert_eq!(labels, expected, "one report per name, in the order given");
+}
+
+#[test]
+fn unknown_policy_exits_2_and_lists_the_vocabulary() {
+    let dir = scratch("unknown-policy");
+    let test = tracegen(&dir, 1);
+    let out = btbsim(&["--policy", "nosuch"], &test);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stderr = String::from_utf8(out.stderr).expect("utf-8 stderr");
+    assert!(stderr.contains("unknown policy nosuch"), "{stderr}");
+    assert!(stderr.contains(&POLICY_NAMES.join(", ")), "{stderr}");
+}

@@ -1,11 +1,12 @@
 //! End-to-end integration: workload generation → profiling → hint
 //! injection → frontend simulation, across crates.
 
+use btb_model::policies::{BeladyOpt, Lru};
 use btb_model::BtbConfig;
 use btb_trace::TraceStats;
 use btb_workloads::{AppSpec, InputConfig};
 use thermometer::pipeline::{Pipeline, PipelineConfig};
-use thermometer::{HintTable, TemperatureConfig};
+use thermometer::{HintTable, TemperatureConfig, ThermometerPolicy};
 use uarch_sim::FrontendConfig;
 
 const LEN: usize = 250_000;
@@ -38,9 +39,9 @@ fn thermometer_beats_lru_and_respects_opt_floor() {
     let p = small_pipeline();
     let hints = p.profile_to_hints(&test);
 
-    let lru = p.run_lru(&test);
-    let therm = p.run_thermometer(&test, &hints);
-    let opt = p.run_opt(&test);
+    let lru = p.run(&test, Lru::new(), None);
+    let therm = p.run(&test, ThermometerPolicy::new(), Some(&hints));
+    let opt = p.run(&test, BeladyOpt::new(), None);
 
     assert!(
         therm.btb.misses < lru.btb.misses,
@@ -63,8 +64,8 @@ fn cross_input_hints_do_not_catastrophically_regress() {
     let test = spec.generate(InputConfig::input(1), LEN);
     let p = small_pipeline();
     let hints = p.profile_to_hints(&train);
-    let lru = p.run_lru(&test);
-    let cross = p.run_thermometer(&test, &hints);
+    let lru = p.run(&test, Lru::new(), None);
+    let cross = p.run(&test, ThermometerPolicy::new(), Some(&hints));
     assert!(
         (cross.btb.misses as f64) < lru.btb.misses as f64 * 1.25,
         "cross-input thermometer {} blew past lru {}",
@@ -79,8 +80,16 @@ fn same_input_profile_is_at_least_as_good_as_cross_input() {
     let train = spec.generate(InputConfig::input(0), LEN);
     let test = spec.generate(InputConfig::input(1), LEN);
     let p = small_pipeline();
-    let cross = p.run_thermometer(&test, &p.profile_to_hints(&train));
-    let same = p.run_thermometer(&test, &p.profile_to_hints(&test));
+    let cross = p.run(
+        &test,
+        ThermometerPolicy::new(),
+        Some(&p.profile_to_hints(&train)),
+    );
+    let same = p.run(
+        &test,
+        ThermometerPolicy::new(),
+        Some(&p.profile_to_hints(&test)),
+    );
     assert!(
         same.btb.misses <= cross.btb.misses,
         "same-input {} should not lose to cross-input {}",
@@ -97,7 +106,7 @@ fn whole_pipeline_is_deterministic() {
         let test = spec.generate(InputConfig::input(1), 60_000);
         let p = pipeline();
         let hints = p.profile_to_hints(&train);
-        let report = p.run_thermometer(&test, &hints);
+        let report = p.run(&test, ThermometerPolicy::new(), Some(&hints));
         (report.cycles.to_bits(), report.btb.clone())
     };
     assert_eq!(run(), run());
@@ -161,8 +170,12 @@ fn iso_storage_variant_stays_competitive() {
     let test = spec.generate(InputConfig::input(1), LEN);
     let base = pipeline();
     let iso = base.with_btb(BtbConfig::iso_storage_7979());
-    let lru_8192 = base.run_lru(&test);
-    let therm_iso = iso.run_thermometer(&test, &iso.profile_to_hints(&train));
+    let lru_8192 = base.run(&test, Lru::new(), None);
+    let therm_iso = iso.run(
+        &test,
+        ThermometerPolicy::new(),
+        Some(&iso.profile_to_hints(&train)),
+    );
     // The 213 sacrificed entries must not erase Thermometer's advantage.
     assert!(
         therm_iso.ipc() >= lru_8192.ipc() * 0.995,

@@ -21,25 +21,37 @@ fn workspace_is_lint_clean() {
 }
 
 #[test]
-fn deleting_a_policy_from_one_registry_leg_fails_the_lint() {
-    // The R-rules' reason to exist: un-wire one leg of a real zoo member
-    // (in memory — the tree is untouched) and the registry must drift
-    // loudly. If this test fails, a policy can be half-removed silently.
+fn a_ghost_policy_row_fails_the_lint() {
+    // The registry rules' reason to exist: add a member to the real
+    // `policies!` table (in memory — the tree is untouched) without a
+    // differential test or a figure for it, and both legs must flag it. If
+    // this test fails, a policy can join the zoo untested and unplotted.
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let config = simlint::load_config(&root).expect("simlint.toml parses");
     let mut files = simlint::load_files(&root, &config).expect("workspace walk succeeds");
-    let pipeline = files
+    let table = files
         .iter_mut()
-        .find(|f| f.rel == "crates/core/src/pipeline.rs")
-        .expect("names leg is in the walk");
-    assert!(pipeline.text.contains("\"trrip\","), "zoo member present");
-    pipeline.text = pipeline.text.replace("\"trrip\",", "");
-    let diags = simlint::analyze(&files, &config);
+        .find(|f| f.rel == "crates/core/src/policy_kind.rs")
+        .expect("the policy table is in the walk");
     assert!(
-        diags
-            .iter()
-            .any(|d| d.rule == "R01" && d.message.contains("\"trrip\"")),
-        "dropping trrip from POLICY_NAMES must trip R01:\n{}",
+        table.text.contains("\npolicies! {\n"),
+        "table invocation present"
+    );
+    table.text = table.text.replace(
+        "\npolicies! {\n",
+        "\npolicies! {\n    \"ghost\" => Ghost(GhostPolicy) = GhostPolicy::new(), hints: false;\n",
+    );
+    let diags = simlint::analyze(&files, &config);
+    let rules: Vec<&str> = diags.iter().map(|d| d.rule).collect();
+    assert_eq!(
+        rules,
+        ["R04", "R05"],
+        "a ghost row must trip exactly R04 and R05:\n{}",
+        simlint::render_text(&diags)
+    );
+    assert!(
+        diags.iter().all(|d| d.message.contains("\"ghost\"")),
+        "{}",
         simlint::render_text(&diags)
     );
 }

@@ -16,6 +16,7 @@ use btb_model::reference::ReferenceBtb;
 use btb_model::{AccessContext, Btb, BtbConfig, ReplacementPolicy};
 use btb_trace::BranchKind;
 use sim_support::{forall, SimRng};
+use thermometer::pipeline::POLICY_NAMES;
 use thermometer::{HolisticOnly, PolicyKind, ThermometerNoBypass, ThermometerPolicy};
 
 /// One step of a differential stream.
@@ -61,13 +62,19 @@ fn arb_ops(rng: &mut SimRng, len: usize) -> Vec<Op> {
         .collect()
 }
 
-/// Drives the same ops through both implementations and requires identical
-/// observable behaviour at every step and identical final state.
-fn differential<P: ReplacementPolicy>(label: &str, make: impl Fn() -> P, ops: &[Op]) {
+/// Drives the same ops through both implementations, the SoA side built
+/// by `make_soa` and the reference side by `make_ref`, and requires
+/// identical observable behaviour at every step and identical final state.
+fn differential<P: ReplacementPolicy, Q: ReplacementPolicy>(
+    label: &str,
+    make_soa: impl Fn() -> P,
+    make_ref: impl Fn() -> Q,
+    ops: &[Op],
+) {
     // 4 sets x 4 ways plus a remainder-set geometry in the mix below.
     for config in [BtbConfig::new(16, 4), BtbConfig::new(15, 4)] {
-        let mut soa = Btb::new(config, make());
-        let mut reference = ReferenceBtb::new(config, make());
+        let mut soa = Btb::new(config, make_soa());
+        let mut reference = ReferenceBtb::new(config, make_ref());
         for (i, op) in ops.iter().enumerate() {
             match op {
                 Op::Access(ctx) => {
@@ -108,32 +115,72 @@ fn differential<P: ReplacementPolicy>(label: &str, make: impl Fn() -> P, ops: &[
 
 /// Every policy in the zoo, exercised over one shrinkable random stream.
 fn zoo(ops: &[Op]) {
-    differential("LRU", Lru::new, ops);
-    differential("FIFO", Fifo::new, ops);
-    differential("PLRU", PseudoLru::new, ops);
-    differential("Random", || Random::with_seed(0x5eed), ops);
-    differential("SRRIP", Srrip::new, ops);
-    differential("DRRIP", Drrip::new, ops);
-    differential("DRRIP-pinned", Drrip::pinned_srrip, ops);
-    differential("TRRIP", Trrip::new, ops);
-    differential("TRRIP-pinned", Trrip::pinned_srrip, ops);
-    differential("SHiP", Ship::new, ops);
-    differential("GHRP", || Ghrp::new(GhrpConfig::default()), ops);
-    differential("Hawkeye", || Hawkeye::new(HawkeyeConfig::default()), ops);
-    differential("OPT", BeladyOpt::new, ops);
-    differential("Thermometer", ThermometerPolicy::new, ops);
-    differential("Therm-NoBypass", ThermometerNoBypass::new, ops);
-    differential("Holistic", HolisticOnly::new, ops);
+    differential("LRU", Lru::new, Lru::new, ops);
+    differential("FIFO", Fifo::new, Fifo::new, ops);
+    differential("PLRU", PseudoLru::new, PseudoLru::new, ops);
+    let random = || Random::with_seed(0x5eed);
+    differential("Random", random, random, ops);
+    differential("SRRIP", Srrip::new, Srrip::new, ops);
+    differential("DRRIP", Drrip::new, Drrip::new, ops);
     differential(
-        "PolicyKind",
-        || PolicyKind::by_name("srrip").expect("srrip is known"),
+        "DRRIP-pinned",
+        Drrip::pinned_srrip,
+        Drrip::pinned_srrip,
+        ops,
+    );
+    differential("TRRIP", Trrip::new, Trrip::new, ops);
+    differential(
+        "TRRIP-pinned",
+        Trrip::pinned_srrip,
+        Trrip::pinned_srrip,
+        ops,
+    );
+    differential("SHiP", Ship::new, Ship::new, ops);
+    let ghrp = || Ghrp::new(GhrpConfig::default());
+    differential("GHRP", ghrp, ghrp, ops);
+    let hawkeye = || Hawkeye::new(HawkeyeConfig::default());
+    differential("Hawkeye", hawkeye, hawkeye, ops);
+    differential("OPT", BeladyOpt::new, BeladyOpt::new, ops);
+    differential(
+        "Thermometer",
+        ThermometerPolicy::new,
+        ThermometerPolicy::new,
         ops,
     );
     differential(
-        "PolicyKind-trrip",
-        || PolicyKind::by_name("trrip").expect("trrip is known"),
+        "Therm-NoBypass",
+        ThermometerNoBypass::new,
+        ThermometerNoBypass::new,
         ops,
     );
+    differential("Holistic", HolisticOnly::new, HolisticOnly::new, ops);
+    policy_kind_zoo(ops);
+}
+
+/// Every [`POLICY_NAMES`] entry: `PolicyKind::by_name` on the SoA side
+/// against the concrete type, built with the arguments the name promises,
+/// on the reference side. This catches a missing dispatch arm (one that
+/// fell back to a trait default) and a wrong constructor argument.
+fn policy_kind_zoo(ops: &[Op]) {
+    for name in POLICY_NAMES {
+        let kind = || PolicyKind::by_name(name).expect("a POLICY_NAMES entry");
+        let label = format!("PolicyKind({name})");
+        match name {
+            "lru" => differential(&label, kind, Lru::new, ops),
+            "fifo" => differential(&label, kind, Fifo::new, ops),
+            "plru" => differential(&label, kind, PseudoLru::new, ops),
+            "random" => differential(&label, kind, || Random::with_seed(0x5eed), ops),
+            "srrip" => differential(&label, kind, Srrip::new, ops),
+            "drrip" => differential(&label, kind, Drrip::new, ops),
+            "trrip" => differential(&label, kind, Trrip::new, ops),
+            "ship" => differential(&label, kind, Ship::new, ops),
+            "ghrp" => differential(&label, kind, || Ghrp::new(GhrpConfig::default()), ops),
+            "hawkeye" => differential(&label, kind, || Hawkeye::new(HawkeyeConfig::default()), ops),
+            "opt" => differential(&label, kind, BeladyOpt::new, ops),
+            "thermometer" => differential(&label, kind, ThermometerPolicy::new, ops),
+            other => panic!("POLICY_NAMES entry {other} has no reference row here"),
+        }
+    }
 }
 
 #[test]

@@ -4,6 +4,7 @@
 //! batch decoder alike, with identical error classification on malformed
 //! input.
 
+use btb_model::policies::Lru;
 use btb_trace::{
     read_binary, read_binary_batched, write_binary, BatchReader, BranchKind, BranchRecord,
     CodecError, Trace, TraceStats,
@@ -40,8 +41,8 @@ fn decoded_trace_simulates_identically() {
     let decoded = read_binary(&mut buf.as_slice()).expect("read");
 
     let pipeline = Pipeline::new(PipelineConfig::default());
-    let original = pipeline.run_lru(&trace);
-    let roundtripped = pipeline.run_lru(&decoded);
+    let original = pipeline.run(&trace, Lru::new(), None);
+    let roundtripped = pipeline.run(&decoded, Lru::new(), None);
     assert_eq!(original, roundtripped);
 }
 
