@@ -1,6 +1,9 @@
 //! Offline profiling cost: the paper's Fig. 14 argues the OPT simulation
 //! is cheap enough for production build pipelines. These benches measure
-//! the two offline stages: oracle construction and the OPT replay itself.
+//! the offline stages: oracle construction, the OPT replay on a bare trace
+//! (which builds its own branch index and oracle), the replay alone on a
+//! prepared trace whose index and oracle are already built, and hint-table
+//! classification.
 //!
 //! Run with `cargo bench -p thermometer-bench --bench profiling`;
 //! results land in `results/bench_profiling.json` (median/MAD).
@@ -11,7 +14,7 @@ use btb_model::BtbConfig;
 use btb_trace::{NextUseOracle, Trace};
 use btb_workloads::{AppSpec, InputConfig};
 use sim_support::BenchHarness;
-use thermometer::{HintTable, OptProfile, TemperatureConfig};
+use thermometer::{HintTable, OptProfile, PreparedTrace, TemperatureConfig};
 
 const STREAM_LEN: usize = 200_000;
 const RESULTS_DIR: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results");
@@ -32,6 +35,12 @@ fn main() {
     });
     harness.bench("opt_profile", accesses, || {
         black_box(OptProfile::measure(&trace, BtbConfig::table1()))
+    });
+    // Index and oracle built up front: this case times the replay alone.
+    let prepared = PreparedTrace::new(trace.clone());
+    prepared.oracle();
+    harness.bench("opt_profile_prepared", accesses, || {
+        black_box(OptProfile::measure(&prepared, BtbConfig::table1()))
     });
 
     let profile = OptProfile::measure(&trace, BtbConfig::table1());

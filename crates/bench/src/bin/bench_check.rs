@@ -30,9 +30,10 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 /// Suites guarded by default: the two hot-loop benches the repo's perf
-/// targets are stated against, plus the hint server's loopback mixed-load
-/// suite (`hintload` writes it; `scripts/bench_check.sh` runs the server).
-const DEFAULT_SUITES: &[&str] = &["btb_policies", "frontend", "hintd"];
+/// targets are stated against, the offline OPT profiler, plus the hint
+/// server's loopback mixed-load suite (`hintload` writes it;
+/// `scripts/bench_check.sh` runs the server).
+const DEFAULT_SUITES: &[&str] = &["btb_policies", "frontend", "profiling", "hintd"];
 const DEFAULT_TOLERANCE_PCT: f64 = 15.0;
 /// Benchmarks recorded for observability but not guarded: end-to-end
 /// wall-clock of a whole thread-pool grid run carries several times the

@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use btb_model::policies::{BeladyOpt, Ghrp, GhrpConfig, Hawkeye, HawkeyeConfig, Lru, Srrip};
+use btb_model::policies::{BeladyOpt, Ghrp, Hawkeye, Lru, Srrip};
 use btb_model::BtbConfig;
 use btb_trace::Trace;
 use btb_workloads::{cbp5_suite, ipc1_suite, SuiteParams};
@@ -46,7 +46,7 @@ pub fn fig17(scale: &Scale) -> FigureResult {
     let pipeline = Pipeline::new(PipelineConfig::default());
 
     let per_trace: Vec<(f64, f64, f64)> = per_app_traces("fig17", &traces, |trace| {
-        let ghrp = pipeline.run(trace, Ghrp::new(GhrpConfig::default()), None);
+        let ghrp = pipeline.run(trace, Ghrp::default(), None);
         let profile = pipeline.profile(trace);
         let fixed_hints = HintTable::from_profile(&profile, &TemperatureConfig::paper_default());
         let fixed = pipeline.run(trace, ThermometerPolicy::new(), Some(&fixed_hints));
@@ -137,10 +137,10 @@ pub fn fig18(scale: &Scale) -> FigureResult {
         let speedups = vec![
             pipeline.run(trace, Srrip::new(), None).speedup_over(&lru),
             pipeline
-                .run(trace, Ghrp::new(GhrpConfig::default()), None)
+                .run(trace, Ghrp::default(), None)
                 .speedup_over(&lru),
             pipeline
-                .run(trace, Hawkeye::new(HawkeyeConfig::default()), None)
+                .run(trace, Hawkeye::default(), None)
                 .speedup_over(&lru),
             pipeline
                 .run(trace, ThermometerPolicy::new(), Some(&hints))

@@ -424,8 +424,13 @@ pub fn write_grid_stats(
     }
     out.push_str(&format!(
         "  \"trace_memo\": {{ \"hits\": {}, \"misses\": {}, \"facts_builds\": {}, \
-         \"enabled\": {} }},\n",
-        trace_memo.hits, trace_memo.misses, trace_memo.facts_builds, trace_memo.enabled
+         \"profile_builds\": {}, \"report_hits\": {}, \"enabled\": {} }},\n",
+        trace_memo.hits,
+        trace_memo.misses,
+        trace_memo.facts_builds,
+        trace_memo.profile_builds,
+        trace_memo.report_hits,
+        trace_memo.enabled
     ));
     out.push_str("  \"notes\": [\n");
     for (i, note) in notes.iter().enumerate() {

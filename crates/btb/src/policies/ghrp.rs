@@ -63,6 +63,13 @@ pub struct Ghrp {
     clock: u64,
 }
 
+impl Default for Ghrp {
+    /// GHRP with the default (paper-sized) configuration.
+    fn default() -> Self {
+        Self::new(GhrpConfig::default())
+    }
+}
+
 impl Ghrp {
     /// Creates a GHRP policy with the given configuration.
     pub fn new(config: GhrpConfig) -> Self {

@@ -110,6 +110,13 @@ pub struct Hawkeye {
     ways: usize,
 }
 
+impl Default for Hawkeye {
+    /// Hawkeye with the default configuration.
+    fn default() -> Self {
+        Self::new(HawkeyeConfig::default())
+    }
+}
+
 impl Hawkeye {
     /// Creates a Hawkeye policy.
     pub fn new(config: HawkeyeConfig) -> Self {

@@ -345,21 +345,20 @@ mod tests {
         }
         let oracle = btb_trace::NextUseOracle::build(&trace);
 
-        fn run<P: ReplacementPolicy>(policy: P, oracle: &btb_trace::NextUseOracle) -> u64 {
+        fn run<P: ReplacementPolicy>(
+            policy: P,
+            trace: &btb_trace::Trace,
+            oracle: &btb_trace::NextUseOracle,
+        ) -> u64 {
             let mut btb = Btb::new(BtbConfig::new(4, 4), policy);
-            for i in 0..oracle.len() {
-                btb.access_taken(
-                    oracle.pc(i),
-                    0x100,
-                    BranchKind::UncondDirect,
-                    oracle.next_use(i),
-                );
+            for (i, r) in trace.taken().enumerate() {
+                btb.access_taken(r.pc, 0x100, BranchKind::UncondDirect, oracle.next_use(i));
             }
             btb.stats().hits
         }
 
-        let lru_hits = run(Lru::new(), &oracle);
-        let opt_hits = run(BeladyOpt::new(), &oracle);
+        let lru_hits = run(Lru::new(), &trace, &oracle);
+        let opt_hits = run(BeladyOpt::new(), &trace, &oracle);
         assert_eq!(lru_hits, 0, "LRU thrashes a loop one larger than capacity");
         assert!(
             opt_hits >= 70,

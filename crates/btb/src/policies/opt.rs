@@ -95,25 +95,27 @@ mod tests {
     use btb_trace::{BranchKind, BranchRecord, NextUseOracle, Trace};
     use sim_support::forall;
 
-    fn oracle_of(pcs: &[u64]) -> NextUseOracle {
+    fn trace_of(pcs: &[u64]) -> Trace {
         let mut t = Trace::new("opt-test");
         for &pc in pcs {
             t.push(BranchRecord::taken(pc, 0x1, BranchKind::UncondDirect, 0));
         }
-        NextUseOracle::build(&t)
+        t
     }
 
-    fn hits<P: ReplacementPolicy>(policy: P, config: BtbConfig, oracle: &NextUseOracle) -> u64 {
+    /// Replays `trace`'s taken stream, pcs read from the trace and next
+    /// uses from its oracle.
+    fn replay<P: ReplacementPolicy>(policy: P, config: BtbConfig, trace: &Trace) -> Btb<P> {
+        let oracle = NextUseOracle::build(trace);
         let mut btb = Btb::new(config, policy);
-        for i in 0..oracle.len() {
-            btb.access_taken(
-                oracle.pc(i),
-                0x1,
-                BranchKind::UncondDirect,
-                oracle.next_use(i),
-            );
+        for (i, r) in trace.taken().enumerate() {
+            btb.access_taken(r.pc, 0x1, BranchKind::UncondDirect, oracle.next_use(i));
         }
-        btb.stats().hits
+        btb
+    }
+
+    fn hits<P: ReplacementPolicy>(policy: P, config: BtbConfig, trace: &Trace) -> u64 {
+        replay(policy, config, trace).stats().hits
     }
 
     #[test]
@@ -123,23 +125,14 @@ mod tests {
         // hits; OPT-with-bypass gets 7 because it refuses to insert the
         // never-reused 4 instead of evicting 0 (which recurs at position 10).
         let stream = [7u64, 0, 1, 2, 0, 3, 0, 4, 2, 3, 0, 3, 2];
-        let oracle = oracle_of(&stream);
-        assert_eq!(hits(BeladyOpt::new(), BtbConfig::new(3, 3), &oracle), 7);
+        let trace = trace_of(&stream);
+        assert_eq!(hits(BeladyOpt::new(), BtbConfig::new(3, 3), &trace), 7);
     }
 
     #[test]
     fn never_reused_branch_is_bypassed_when_full() {
         let stream = [1u64, 2, 3, 99, 1, 2, 3];
-        let oracle = oracle_of(&stream);
-        let mut btb = Btb::new(BtbConfig::new(3, 3), BeladyOpt::new());
-        for i in 0..oracle.len() {
-            btb.access_taken(
-                oracle.pc(i),
-                0x1,
-                BranchKind::UncondDirect,
-                oracle.next_use(i),
-            );
-        }
+        let btb = replay(BeladyOpt::new(), BtbConfig::new(3, 3), &trace_of(&stream));
         // 99 never recurs: with the set full it must be bypassed, so
         // 1, 2, 3 all hit on their second round.
         assert_eq!(btb.stats().bypasses, 1);
@@ -157,19 +150,19 @@ mod tests {
             let len = rng.gen_range(1usize..300);
             (0..len).map(|_| rng.gen_range(0u64..24)).collect::<Vec<u64>>()
         }, shrink: sim_support::forall::shrink_halves, prop: |pcs| {
-            let oracle = oracle_of(pcs);
+            let trace = trace_of(pcs);
             let config = BtbConfig::new(8, 4);
-            let opt = hits(BeladyOpt::new(), config, &oracle);
+            let opt = hits(BeladyOpt::new(), config, &trace);
             let rivals: Vec<(&str, u64)> = vec![
-                ("LRU", hits(Lru::new(), config, &oracle)),
-                ("FIFO", hits(Fifo::new(), config, &oracle)),
-                ("PLRU", hits(PseudoLru::new(), config, &oracle)),
-                ("Random", hits(Random::with_seed(5), config, &oracle)),
-                ("SRRIP", hits(Srrip::new(), config, &oracle)),
-                ("DRRIP", hits(Drrip::new(), config, &oracle)),
-                ("SHiP", hits(Ship::new(), config, &oracle)),
-                ("GHRP", hits(Ghrp::new(GhrpConfig::default()), config, &oracle)),
-                ("Hawkeye", hits(Hawkeye::new(HawkeyeConfig::default()), config, &oracle)),
+                ("LRU", hits(Lru::new(), config, &trace)),
+                ("FIFO", hits(Fifo::new(), config, &trace)),
+                ("PLRU", hits(PseudoLru::new(), config, &trace)),
+                ("Random", hits(Random::with_seed(5), config, &trace)),
+                ("SRRIP", hits(Srrip::new(), config, &trace)),
+                ("DRRIP", hits(Drrip::new(), config, &trace)),
+                ("SHiP", hits(Ship::new(), config, &trace)),
+                ("GHRP", hits(Ghrp::new(GhrpConfig::default()), config, &trace)),
+                ("Hawkeye", hits(Hawkeye::new(HawkeyeConfig::default()), config, &trace)),
             ];
             for (name, h) in rivals {
                 assert!(opt >= h, "OPT {opt} < {name} {h} on {pcs:?}");
@@ -185,11 +178,11 @@ mod tests {
             let len = rng.gen_range(1usize..200);
             (0..len).map(|_| rng.gen_range(0u64..40)).collect::<Vec<u64>>()
         }, shrink: sim_support::forall::shrink_halves, prop: |pcs| {
-            let oracle = oracle_of(pcs);
+            let trace = trace_of(pcs);
             let mut prev = 0;
             for ways in [1usize, 2, 4] {
                 // Fix 2 sets; capacity = 2 * ways.
-                let h = hits(BeladyOpt::new(), BtbConfig::new(2 * ways, ways), &oracle);
+                let h = hits(BeladyOpt::new(), BtbConfig::new(2 * ways, ways), &trace);
                 assert!(h >= prev);
                 prev = h;
             }

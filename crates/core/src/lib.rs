@@ -58,6 +58,7 @@ pub mod policy;
 pub mod policy_kind;
 pub mod prepared;
 pub mod profile;
+pub mod reference;
 pub mod temperature;
 
 pub use hints::HintTable;

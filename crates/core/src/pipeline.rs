@@ -7,7 +7,6 @@
 
 use btb_model::policies::Lru;
 use btb_model::{Btb, BtbConfig, ReplacementPolicy};
-use btb_trace::Trace;
 use uarch_sim::prefetch::Prefetcher;
 use uarch_sim::{Frontend, FrontendConfig, PerfectOptions, SimReport};
 
@@ -40,10 +39,12 @@ impl Default for PipelineConfig {
 /// The profile-guided workflow: profile a training trace into hints, then
 /// [`run`](Pipeline::run) any policy over a test trace.
 ///
-/// Every `run*` entry point takes a [`SimInput`]: pass a
-/// [`PreparedTrace`](crate::PreparedTrace) to share its fetch facts and
-/// OPT oracle across runs, or a bare [`Trace`] for a one-off run. The
-/// reports are identical either way.
+/// Every `profile*` and `run*` entry point takes a [`SimInput`]: pass a
+/// [`PreparedTrace`](crate::PreparedTrace) to share its fetch facts,
+/// branch index and OPT oracle across calls, or a bare [`Trace`] for a
+/// one-off call. The results are identical either way.
+///
+/// [`Trace`]: btb_trace::Trace
 #[derive(Clone, Debug, Default)]
 pub struct Pipeline {
     config: PipelineConfig,
@@ -61,13 +62,13 @@ impl Pipeline {
     }
 
     /// Step 1–2: replay OPT over the profile trace.
-    pub fn profile(&self, trace: &Trace) -> OptProfile {
-        OptProfile::measure(trace, self.config.frontend.btb)
+    pub fn profile(&self, input: &impl SimInput) -> OptProfile {
+        OptProfile::measure(input, self.config.frontend.btb)
     }
 
     /// Steps 1–3: profile and classify into a hint table.
-    pub fn profile_to_hints(&self, trace: &Trace) -> HintTable {
-        HintTable::from_profile(&self.profile(trace), &self.config.temperature)
+    pub fn profile_to_hints(&self, input: &impl SimInput) -> HintTable {
+        HintTable::from_profile(&self.profile(input), &self.config.temperature)
     }
 
     /// Step 4: simulates `input` under `policy`, with temperature `hints`
@@ -94,7 +95,7 @@ impl Pipeline {
         prefetcher: Option<Box<dyn Prefetcher>>,
     ) -> (SimReport, Frontend<Btb<P>>) {
         let mut label = policy.name().to_owned();
-        let oracle = policy.needs_oracle().then(|| input.next_use_oracle());
+        let oracle = policy.needs_oracle().then(|| input.indexed_oracle().1);
         let mut fe = Frontend::new(self.config.frontend, policy);
         if let Some(h) = hints {
             fe.set_hints(h.to_map());
@@ -136,6 +137,7 @@ mod tests {
     use super::*;
     use crate::{PolicyKind, ThermometerPolicy};
     use btb_model::policies::BeladyOpt;
+    use btb_trace::Trace;
     use btb_workloads::{AppSpec, InputConfig};
 
     fn small_trace(input: u32) -> Trace {
@@ -220,7 +222,7 @@ mod tests {
     }
 
     #[test]
-    fn run_named_covers_the_cli_vocabulary() {
+    fn run_covers_the_cli_vocabulary() {
         let trace = small_trace(0);
         let p = Pipeline::new(PipelineConfig::default());
         for name in POLICY_NAMES {

@@ -2,22 +2,25 @@
 //! it needs, each computed at most once.
 //!
 //! A [`PreparedTrace`] holds a shared [`Trace`] and lazily builds its
-//! [`FetchFacts`] (TAGE/RAS/IBTB/I-cache outcomes) and [`NextUseOracle`]
-//! (Belady's future knowledge) on first use. Both are pure functions of the
-//! trace, so every run that reuses them reports exactly what a run that
-//! built them afresh would. The [`Pipeline`](crate::Pipeline) run entry
-//! points accept any [`SimInput`]: a prepared trace shares its artifacts; a
-//! bare [`Trace`] has them built for the one run that needs them.
+//! [`FetchFacts`] (TAGE/RAS/IBTB/I-cache outcomes), its [`BranchIndex`]
+//! (a dense id per static branch) and the [`NextUseOracle`] over that index
+//! (Belady's future knowledge) on first use. All three are pure functions
+//! of the trace, so every run or profile that reuses them reports exactly
+//! what one that built them afresh would. The [`Pipeline`](crate::Pipeline)
+//! run and profile entry points accept any [`SimInput`]: a prepared trace
+//! shares its artifacts; a bare [`Trace`] has them built for the one call
+//! that needs them.
 
 use std::borrow::Cow;
 use std::ops::Deref;
 use std::sync::{Arc, OnceLock};
 
-use btb_trace::{NextUseOracle, Trace};
+use btb_trace::{BranchIndex, NextUseOracle, Trace};
 use uarch_sim::FetchFacts;
 
-/// A trace with its fetch facts and OPT oracle, each built on first use and
-/// then shared by every run (and every thread) that asks again.
+/// A trace with its fetch facts, branch index and OPT oracle, each built on
+/// first use and then shared by every run (and every thread) that asks
+/// again.
 ///
 /// Dereferences to the [`Trace`], so it stands in wherever a `&Trace` is
 /// expected.
@@ -25,6 +28,7 @@ use uarch_sim::FetchFacts;
 pub struct PreparedTrace {
     trace: Arc<Trace>,
     facts: OnceLock<FetchFacts>,
+    index: OnceLock<BranchIndex>,
     oracle: OnceLock<NextUseOracle>,
 }
 
@@ -34,6 +38,7 @@ impl PreparedTrace {
         Self {
             trace: trace.into(),
             facts: OnceLock::new(),
+            index: OnceLock::new(),
             oracle: OnceLock::new(),
         }
     }
@@ -43,10 +48,16 @@ impl PreparedTrace {
         self.facts.get_or_init(|| FetchFacts::build(&self.trace))
     }
 
-    /// The trace's next-use oracle, built by the first caller.
+    /// The trace's static-branch index, built by the first caller.
+    pub fn index(&self) -> &BranchIndex {
+        self.index.get_or_init(|| BranchIndex::build(&self.trace))
+    }
+
+    /// The trace's next-use oracle, built from [`index`](Self::index) by
+    /// the first caller.
     pub fn oracle(&self) -> &NextUseOracle {
         self.oracle
-            .get_or_init(|| NextUseOracle::build(&self.trace))
+            .get_or_init(|| NextUseOracle::from_index(self.index()))
     }
 
     /// Whether the fetch facts have been built.
@@ -74,8 +85,9 @@ pub trait SimInput {
     /// Its fetch facts.
     fn fetch_facts(&self) -> Cow<'_, FetchFacts>;
 
-    /// Its next-use oracle (for OPT).
-    fn next_use_oracle(&self) -> Cow<'_, NextUseOracle>;
+    /// Its static-branch index and the next-use oracle built over it (for
+    /// OPT runs and profiles).
+    fn indexed_oracle(&self) -> (Cow<'_, BranchIndex>, Cow<'_, NextUseOracle>);
 }
 
 impl SimInput for Trace {
@@ -87,8 +99,10 @@ impl SimInput for Trace {
         Cow::Owned(FetchFacts::build(self))
     }
 
-    fn next_use_oracle(&self) -> Cow<'_, NextUseOracle> {
-        Cow::Owned(NextUseOracle::build(self))
+    fn indexed_oracle(&self) -> (Cow<'_, BranchIndex>, Cow<'_, NextUseOracle>) {
+        let index = BranchIndex::build(self);
+        let oracle = NextUseOracle::from_index(&index);
+        (Cow::Owned(index), Cow::Owned(oracle))
     }
 }
 
@@ -101,8 +115,8 @@ impl SimInput for PreparedTrace {
         Cow::Borrowed(self.facts())
     }
 
-    fn next_use_oracle(&self) -> Cow<'_, NextUseOracle> {
-        Cow::Borrowed(self.oracle())
+    fn indexed_oracle(&self) -> (Cow<'_, BranchIndex>, Cow<'_, NextUseOracle>) {
+        (Cow::Borrowed(self.index()), Cow::Borrowed(self.oracle()))
     }
 }
 
@@ -115,8 +129,8 @@ impl<T: SimInput + ?Sized> SimInput for Arc<T> {
         (**self).fetch_facts()
     }
 
-    fn next_use_oracle(&self) -> Cow<'_, NextUseOracle> {
-        (**self).next_use_oracle()
+    fn indexed_oracle(&self) -> (Cow<'_, BranchIndex>, Cow<'_, NextUseOracle>) {
+        (**self).indexed_oracle()
     }
 }
 
@@ -141,7 +155,10 @@ mod tests {
         assert!(prepared.has_facts());
         let oracle = prepared.oracle();
         assert!(std::ptr::eq(oracle, prepared.oracle()), "built once");
-        assert_eq!(oracle.len(), NextUseOracle::build(&trace()).len());
+        assert_eq!(*oracle, NextUseOracle::build(&trace()));
+        let index = prepared.index();
+        assert!(std::ptr::eq(index, prepared.index()), "built once");
+        assert_eq!(*index, BranchIndex::build(&trace()));
         assert_eq!(prepared.len(), 5_000, "derefs to the trace");
     }
 
@@ -151,9 +168,15 @@ mod tests {
         assert!(matches!(prepared.fetch_facts(), Cow::Borrowed(_)));
         // Through the `Arc<T>` impl too.
         let shared = Arc::new(PreparedTrace::new(trace()));
-        assert!(matches!(shared.next_use_oracle(), Cow::Borrowed(_)));
+        assert!(matches!(
+            shared.indexed_oracle(),
+            (Cow::Borrowed(_), Cow::Borrowed(_))
+        ));
         let bare = trace();
         assert!(matches!(bare.fetch_facts(), Cow::Owned(_)));
-        assert!(matches!(bare.next_use_oracle(), Cow::Owned(_)));
+        assert!(matches!(
+            bare.indexed_oracle(),
+            (Cow::Owned(_), Cow::Owned(_))
+        ));
     }
 }

@@ -6,11 +6,19 @@
 //! branch, (a) the times it was taken and (b) the times the optimal policy
 //! made its lookup hit. It also counts insertions and bypasses, which the
 //! characterization of §2.5 (Fig. 9) uses.
+//!
+//! The replay counts into a flat array indexed by the trace's static-branch
+//! ids ([`BranchIndex`]) and builds the PC-ordered map once, at the end.
+//! The pre-index replay, which updates a `BTreeMap` on every access, is
+//! kept as [`reference::reference_profile`](crate::reference::reference_profile)
+//! for the differential tests.
 
 use std::collections::BTreeMap;
 
 use btb_model::{policies::BeladyOpt, AccessContext, Btb, BtbConfig};
-use btb_trace::{NextUseOracle, Trace};
+use btb_trace::{BranchIndex, NextUseOracle, Trace};
+
+use crate::prepared::SimInput;
 
 /// Per-static-branch counters measured under OPT.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
@@ -58,7 +66,7 @@ impl BranchCounters {
 }
 
 /// The result of one profiling run.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct OptProfile {
     /// Counters per branch PC. Ordered so every consumer (hint tables,
     /// figures, the characterization study) iterates branches in PC order.
@@ -74,8 +82,12 @@ pub struct OptProfile {
 }
 
 impl OptProfile {
-    /// Replays Belady's OPT over `trace`'s taken-branch stream on a BTB of
+    /// Replays Belady's OPT over `input`'s taken-branch stream on a BTB of
     /// `config` geometry and collects per-branch counters.
+    ///
+    /// The replay reuses the input's [`BranchIndex`] and [`NextUseOracle`]:
+    /// a [`PreparedTrace`](crate::PreparedTrace) lends the ones it holds, a
+    /// bare [`Trace`] has them built for this call.
     ///
     /// # Examples
     ///
@@ -93,12 +105,21 @@ impl OptProfile {
     /// assert_eq!(c.taken, 3);
     /// assert_eq!(c.opt_hits, 2); // first access is a compulsory miss
     /// ```
-    pub fn measure(trace: &Trace, config: BtbConfig) -> Self {
-        let oracle = NextUseOracle::build(trace);
-        let mut btb = Btb::new(config, BeladyOpt::new());
-        let mut branches: BTreeMap<u64, BranchCounters> = BTreeMap::new();
+    pub fn measure(input: &impl SimInput, config: BtbConfig) -> Self {
+        let (index, oracle) = input.indexed_oracle();
+        Self::replay(input.as_trace(), &index, &oracle, config)
+    }
 
-        for (i, r) in trace.taken().enumerate() {
+    fn replay(
+        trace: &Trace,
+        index: &BranchIndex,
+        oracle: &NextUseOracle,
+        config: BtbConfig,
+    ) -> Self {
+        let mut btb = Btb::new(config, BeladyOpt::new());
+        let mut counters = vec![BranchCounters::default(); index.branches()];
+
+        for (i, (r, &id)) in trace.taken().zip(index.ids()).enumerate() {
             let ctx = AccessContext {
                 pc: r.pc,
                 target: r.target,
@@ -108,7 +129,7 @@ impl OptProfile {
                 access_index: i as u64,
             };
             let outcome = btb.access(&ctx);
-            let c = branches.entry(r.pc).or_default();
+            let c = &mut counters[id as usize];
             c.taken += 1;
             if outcome.is_hit() {
                 c.opt_hits += 1;
@@ -120,7 +141,7 @@ impl OptProfile {
         }
 
         Self {
-            branches,
+            branches: index.pcs().iter().copied().zip(counters).collect(),
             config: Some(config),
             accesses: oracle.len() as u64,
         }

@@ -22,7 +22,7 @@ fn small_trace(input: u32) -> btb_trace::Trace {
 }
 
 #[test]
-fn run_custom_composes_labels() {
+fn run_with_composes_labels() {
     let trace = small_trace(0);
     let p = Pipeline::new(PipelineConfig::default());
     let plain = p.run(&trace, Srrip::new(), None);
@@ -39,7 +39,7 @@ fn run_custom_composes_labels() {
 }
 
 #[test]
-fn run_custom_with_oracle_matches_run_opt() {
+fn run_opt_matches_a_hand_driven_oracle_run() {
     let trace = small_trace(0);
     let p = Pipeline::new(PipelineConfig::default());
     // `run` attaches the next-use oracle because OPT asks for it: the

@@ -12,8 +12,12 @@
 //!
 //! * compact binary and human-readable text codecs ([`codec`]),
 //! * summary statistics over a trace ([`stats`]),
+//! * the static-branch index ([`index`]): a dense `u32` id per taken
+//!   access, so per-branch state can live in flat arrays,
 //! * the next-use oracle ([`next_use`]) shared by Belady's OPT policy and
-//!   Hawkeye's OPTgen.
+//!   Hawkeye's OPTgen, built over the index,
+//! * the pre-index hashing oracle build, kept as a differential-test
+//!   reference ([`reference`]).
 //!
 //! # Examples
 //!
@@ -28,11 +32,14 @@
 //! ```
 
 pub mod codec;
+pub mod index;
 pub mod next_use;
 pub mod record;
+pub mod reference;
 pub mod stats;
 
 pub use codec::{read_binary, read_binary_batched, write_binary, BatchReader, CodecError};
+pub use index::BranchIndex;
 pub use next_use::NextUseOracle;
 pub use record::{BranchKind, BranchRecord};
 pub use stats::{BranchSummary, TraceStats};

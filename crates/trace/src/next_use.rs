@@ -4,28 +4,28 @@
 //! the future; Hawkeye's OPTgen and the Thermometer profiler both replay OPT
 //! offline. All of them consume the same precomputed oracle: for access `i`
 //! in the taken-branch stream, the position of the next access to the same
-//! branch PC (or "never").
+//! static branch (or "never").
 
-use sim_support::DetHashMap;
-
-use crate::Trace;
+use crate::{BranchIndex, Trace};
 
 /// Sentinel access position meaning "this branch is never taken again".
 pub const NEVER: u64 = u64::MAX;
 
+/// [`NEVER`] as stored: access positions fit in `u32` (see
+/// [`BranchIndex::build`]), so `u32::MAX` is never a real position.
+const NEVER_U32: u32 = u32::MAX;
+
 /// Precomputed next-use positions for the taken-branch stream of a trace.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct NextUseOracle {
-    /// `pcs[i]` is the branch PC of the i-th taken-branch access.
-    pcs: Vec<u64>,
-    /// `next[i]` is the access index of the next access to `pcs[i]`, or
-    /// [`NEVER`].
-    next: Vec<u64>,
+    /// `next[i]` is the access index of the next access to the same static
+    /// branch as access `i`, or `NEVER_U32`.
+    next: Vec<u32>,
 }
 
 impl NextUseOracle {
-    /// Builds the oracle in a single backward pass over `trace`'s taken
-    /// branches.
+    /// Builds the oracle for `trace`: interns its branches into a
+    /// [`BranchIndex`] and runs [`from_index`](Self::from_index) over it.
     ///
     /// # Examples
     ///
@@ -41,58 +41,50 @@ impl NextUseOracle {
     /// assert_eq!(oracle.next_use(1), NEVER);  // 0x20 never recurs
     /// ```
     pub fn build(trace: &Trace) -> Self {
-        let pcs: Vec<u64> = trace.taken().map(|r| r.pc).collect();
-        let mut next = vec![NEVER; pcs.len()];
-        // Lookup-only (never iterated): the seeded O(1) map keeps the
-        // backward pass linear on multi-million-access traces.
-        let mut last_seen: DetHashMap<u64, u64> = DetHashMap::default();
-        for (i, &pc) in pcs.iter().enumerate().rev() {
-            if let Some(&later) = last_seen.get(&pc) {
-                next[i] = later;
-            }
-            last_seen.insert(pc, i as u64);
+        Self::from_index(&BranchIndex::build(trace))
+    }
+
+    /// Builds the oracle in a single backward pass over `index`'s ids,
+    /// with one "last seen" slot per static branch: array indexing only.
+    pub fn from_index(index: &BranchIndex) -> Self {
+        let mut next = vec![NEVER_U32; index.len()];
+        let mut last_seen = vec![NEVER_U32; index.branches()];
+        for (i, &id) in index.ids().iter().enumerate().rev() {
+            let last = &mut last_seen[id as usize];
+            next[i] = *last;
+            *last = i as u32;
         }
-        Self { pcs, next }
+        Self { next }
     }
 
     /// Number of accesses (taken branches) in the stream.
     pub fn len(&self) -> usize {
-        self.pcs.len()
+        self.next.len()
     }
 
     /// Whether the stream is empty.
     pub fn is_empty(&self) -> bool {
-        self.pcs.is_empty()
+        self.next.is_empty()
     }
 
-    /// The branch PC of access `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of bounds.
-    pub fn pc(&self, i: usize) -> u64 {
-        self.pcs[i]
-    }
-
-    /// The access index of the next access to the same PC after access `i`,
-    /// or [`NEVER`].
+    /// The access index of the next access to the same branch after access
+    /// `i`, or [`NEVER`].
     ///
     /// # Panics
     ///
     /// Panics if `i` is out of bounds.
     pub fn next_use(&self, i: usize) -> u64 {
-        self.next[i]
-    }
-
-    /// Iterates over `(pc, next_use)` pairs in access order.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.pcs.iter().copied().zip(self.next.iter().copied())
+        match self.next[i] {
+            NEVER_U32 => NEVER,
+            later => u64::from(later),
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::ReferenceOracle;
     use crate::{BranchKind, BranchRecord};
     use sim_support::forall;
 
@@ -131,19 +123,24 @@ mod tests {
     }
 
     /// next_use(i) is always the minimal j > i with pcs[j] == pcs[i]
-    /// (oracle vs. brute-force forward scan).
+    /// (oracle vs. brute-force forward scan over the trace's own pcs), and
+    /// equals the hashing reference build.
     #[test]
     fn prop_next_use_is_minimal() {
         forall!(cases: 64, gen: |rng| {
             let len = rng.gen_range(0usize..64);
             (0..len).map(|_| rng.gen_range(0u64..16)).collect::<Vec<u64>>()
         }, shrink: sim_support::forall::shrink_halves, prop: |pcs| {
-            let o = NextUseOracle::build(&trace_of(pcs));
+            let trace = trace_of(pcs);
+            let o = NextUseOracle::build(&trace);
+            let reference = ReferenceOracle::build(&trace);
+            assert_eq!(o.len(), pcs.len());
             for i in 0..o.len() {
-                let expected = (i + 1..o.len())
-                    .find(|&j| o.pc(j) == o.pc(i))
+                let expected = (i + 1..pcs.len())
+                    .find(|&j| pcs[j] == pcs[i])
                     .map_or(NEVER, |j| j as u64);
                 assert_eq!(o.next_use(i), expected);
+                assert_eq!(o.next_use(i), reference.next_use(i));
             }
         });
     }

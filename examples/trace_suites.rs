@@ -6,7 +6,7 @@
 //! cargo run --release -p thermometer --example trace_suites
 //! ```
 
-use btb_model::policies::{Ghrp, GhrpConfig, Lru, Srrip};
+use btb_model::policies::{Ghrp, Lru, Srrip};
 use btb_workloads::{cbp5_suite, ipc1_suite, SuiteParams};
 use thermometer::pipeline::{Pipeline, PipelineConfig};
 use thermometer::ThermometerPolicy;
@@ -20,7 +20,7 @@ fn main() {
     let mut ties = 0;
     let mut losses = 0;
     for trace in &traces {
-        let ghrp = pipeline.run(trace, Ghrp::new(GhrpConfig::default()), None);
+        let ghrp = pipeline.run(trace, Ghrp::default(), None);
         let hints = pipeline.profile_to_hints(trace);
         let therm = pipeline.run(trace, ThermometerPolicy::new(), Some(&hints));
         let reduction = therm.miss_reduction_over(&ghrp);

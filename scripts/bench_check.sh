@@ -18,7 +18,7 @@ cd "$(dirname "$0")/.."
 
 export CARGO_NET_OFFLINE=true
 
-suites=(btb_policies frontend hintd)
+suites=(btb_policies frontend profiling hintd)
 
 # The hintd suite measures real wire latency, so it needs a live server on
 # loopback: serve from a scratch journal dir, drive the standard hintload

@@ -22,6 +22,12 @@ fn render(id: &str, scale: &Scale) -> String {
         .collect()
 }
 
+/// `(profile_builds, report_hits)`.
+fn cached(scale: &Scale) -> (u64, u64) {
+    let stats = memo::stats(scale);
+    (stats.profile_builds, stats.report_hits)
+}
+
 fn counts(scale: &Scale) -> (u64, u64) {
     let stats = memo::stats(scale);
     assert!(stats.enabled, "the memo is on at smoke scale");
@@ -40,6 +46,11 @@ fn counts_are_exact_per_figure() {
         3,
         "fig01's five runs per app share one set of fetch facts"
     );
+    assert_eq!(
+        cached(&scale),
+        (0, 0),
+        "fig01 profiles nothing; its five baselines per app are new keys"
+    );
     render("fig11", &scale);
     assert_eq!(
         counts(&scale),
@@ -50,6 +61,11 @@ fn counts_are_exact_per_figure() {
         memo::stats(&scale).facts_builds,
         3,
         "fig11 replays fig01's facts; train traces are only profiled"
+    );
+    assert_eq!(
+        cached(&scale),
+        (6, 15),
+        "fig11: two geometries per train trace; fig01's five baselines per app served again"
     );
 }
 
@@ -63,5 +79,24 @@ fn warm_memo_renders_the_same_bytes_as_a_cold_one() {
     let warm = render("fig11", &scale);
     let (misses, hits) = counts(&scale);
     assert_eq!(hits, misses, "the warm render generated nothing");
+    assert_eq!(cold, warm);
+}
+
+#[test]
+fn served_profiles_and_baselines_render_the_same_bytes_as_fresh_ones() {
+    let _exclusive = EXCLUSIVE.lock().unwrap_or_else(|e| e.into_inner());
+    let scale = Scale::smoke();
+    memo::reset();
+    // Cold: every profile and baseline of fig12 is computed.
+    let cold = render("fig12", &scale);
+    let (builds, hits) = cached(&scale);
+    assert_eq!((builds, hits), (3, 0));
+    // Warm: all are served from the memo, none recomputed.
+    let warm = render("fig12", &scale);
+    assert_eq!(
+        cached(&scale),
+        (builds, 5 * 3),
+        "five baselines per app served"
+    );
     assert_eq!(cold, warm);
 }
