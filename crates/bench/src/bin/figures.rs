@@ -32,14 +32,15 @@
 //! process per shard, and merges the shard journals into output
 //! byte-identical to a serial run — stamped `incomplete` (exit 3) when a
 //! poison shard exhausted its restarts. A worker is this same binary with
-//! `--shard i/N`; `--proc-fault <spec>` injects deterministic
-//! process-level faults (`sim_support::ProcFaultPlan`) keyed by
-//! `(shard, attempt)`. `figures merge` recombines existing shard journals
-//! without spawning anything.
+//! `--shard i/N --attempt K`. `figures sweep --fault-plan <spec>` checks
+//! the spec before spawning anything and forwards it to every worker,
+//! which arms the `proc=` entry for its own `(shard, attempt)`: a
+//! deterministic process-level fault. `figures merge` recombines existing
+//! shard journals without spawning anything.
 
 use std::time::Instant;
 
-use sim_support::{fault, fsio, pool};
+use sim_support::{fault, fsio, pool, FaultPlan};
 use thermometer_bench::figures::memo;
 use thermometer_bench::{
     figure_by_id, grid, journal, merge, sweep, Journal, Scale, ShardSpec, SweepConfig, FIGURE_IDS,
@@ -98,8 +99,8 @@ fn parse_sweep_args(args: Vec<String>, merge_only: bool) -> SweepArgs {
             "--dir" => parsed.dir = take(&mut iter, "--dir"),
             "--markdown" => parsed.markdown = Some(take(&mut iter, "--markdown")),
             "--journal" => parsed.journal_out = take(&mut iter, "--journal"),
-            "--threads" | "--max-retries" | "--fault-plan" | "--proc-fault" | "--max-restarts"
-            | "--tick-ms" | "--stall-ticks" | "--straggler-factor" | "--seed"
+            "--threads" | "--max-retries" | "--fault-plan" | "--max-restarts" | "--tick-ms"
+            | "--stall-ticks" | "--straggler-factor" | "--seed"
                 if !merge_only =>
             {
                 let value = take(&mut iter, &arg);
@@ -142,11 +143,10 @@ fn run_sweep_cli(args: Vec<String>) -> ! {
             "--threads" => cfg.worker_threads = Some(parse_u64() as usize),
             "--quarantine" => cfg.quarantine = true,
             "--max-retries" => cfg.max_retries = parse_u64() as u32,
-            "--fault-plan" => cfg.fault_plan = Some(value.clone()),
-            "--proc-fault" => {
+            "--fault-plan" => {
                 // Validate up front so a typo fails the sweep, not the fleet.
-                sim_support::ProcFaultPlan::parse(value).unwrap_or_else(|e| usage(&e));
-                cfg.proc_fault = Some(value.clone());
+                FaultPlan::parse(value).unwrap_or_else(|e| usage(&e));
+                cfg.fault_plan = Some(value.clone());
             }
             "--max-restarts" => cfg.max_restarts = parse_u64() as u32,
             "--tick-ms" => cfg.tick_ms = parse_u64().max(1),
@@ -257,10 +257,9 @@ fn run_worker(args: Vec<String>) {
     let mut resume = false;
     let mut quarantine = false;
     let mut max_retries: u32 = 0;
-    let mut fault_plan: Option<String> = None;
+    let mut fault_plan: Option<FaultPlan> = None;
     let mut shard: Option<ShardSpec> = None;
     let mut attempt: u32 = 0;
-    let mut proc_fault: Option<String> = None;
     let mut iter = args.into_iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
@@ -301,10 +300,10 @@ fn run_worker(args: Vec<String>) {
                     .unwrap_or_else(|_| usage("bad --max-retries"));
             }
             "--fault-plan" => {
-                fault_plan = Some(
-                    iter.next()
-                        .unwrap_or_else(|| usage("missing spec after --fault-plan")),
-                );
+                let spec = iter
+                    .next()
+                    .unwrap_or_else(|| usage("missing spec after --fault-plan"));
+                fault_plan = Some(FaultPlan::parse(&spec).unwrap_or_else(|e| usage(&e)));
             }
             "--shard" => {
                 let spec = iter
@@ -318,12 +317,6 @@ fn run_worker(args: Vec<String>) {
                     .unwrap_or_else(|| usage("missing index after --attempt"))
                     .parse()
                     .unwrap_or_else(|_| usage("bad --attempt"));
-            }
-            "--proc-fault" => {
-                proc_fault = Some(
-                    iter.next()
-                        .unwrap_or_else(|| usage("missing spec after --proc-fault")),
-                );
             }
             "--help" | "-h" => usage(""),
             other => ids.push(other.to_owned()),
@@ -343,20 +336,16 @@ fn run_worker(args: Vec<String>) {
         eprintln!("shard {spec}: {} figure(s)", ids.len());
     }
 
-    if let Some(spec) = &fault_plan {
-        let plan = sim_support::FaultPlan::parse(spec).unwrap_or_else(|e| usage(&e));
+    if let Some(plan) = fault_plan {
         fault::install(plan);
-    }
-    if let Some(spec) = &proc_fault {
-        let plan = sim_support::ProcFaultPlan::parse(spec).unwrap_or_else(|e| usage(&e));
         let number = shard.map_or(1, |s| s.number) as u64;
-        if let Some(planned) = plan.fault_for(number, attempt) {
+        let journal = std::path::PathBuf::from(&journal_path);
+        if let Some(armed) = fault::arm(number, attempt, journal) {
             eprintln!(
-                "proc-fault armed: {} after {} cell(s) (shard {number}, attempt {attempt})",
-                planned.kind.name(),
-                planned.after_cells
+                "process fault armed: {} after {} cell(s) (shard {number}, attempt {attempt})",
+                armed.kind.name(),
+                armed.after_cells
             );
-            fault::arm_proc_fault(planned, Some(std::path::PathBuf::from(&journal_path)));
         }
     }
     if quarantine {
@@ -538,11 +527,10 @@ fn usage(error: &str) -> ! {
     eprintln!(
         "usage: figures <fig01|...|fig21|all>... [--markdown <path>] [--threads N] \
          [--grid-stats <path>] [--journal <path>] [--resume] [--quarantine] \
-         [--max-retries N] [--fault-plan <spec>] [--shard i/N] [--attempt K] \
-         [--proc-fault <spec>]\n\
+         [--max-retries N] [--fault-plan <spec>] [--shard i/N] [--attempt K]\n\
          \x20      figures sweep <ids|all>... --shards N [--dir <path>] [--markdown <path>] \
          [--journal <path>] [--threads N] [--quarantine] [--max-retries N] \
-         [--fault-plan <spec>] [--proc-fault <spec>] [--max-restarts N] [--tick-ms MS] \
+         [--fault-plan <spec>] [--max-restarts N] [--tick-ms MS] \
          [--stall-ticks N] [--straggler-factor N] [--resume] [--seed N]\n\
          \x20      figures merge <ids|all>... --shards N [--dir <path>] [--markdown <path>] \
          [--journal <path>]"

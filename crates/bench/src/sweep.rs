@@ -62,11 +62,10 @@ pub struct SweepConfig {
     pub quarantine: bool,
     /// Forward `--max-retries` to workers (with `--quarantine`).
     pub max_retries: u32,
-    /// Forward an in-process `--fault-plan` spec to workers.
+    /// A `--fault-plan` spec (`sim_support::FaultPlan` grammar) forwarded
+    /// to every worker; each worker arms only the `proc=` entry for its
+    /// own `(shard, attempt)`.
     pub fault_plan: Option<String>,
-    /// Process-fault spec (`sim_support::ProcFaultPlan` grammar); each
-    /// worker arms only the entry for its own `(shard, attempt)`.
-    pub proc_fault: Option<String>,
     /// Restarts granted per shard beyond the first attempt.
     pub max_restarts: u32,
     /// Supervisor tick length in milliseconds.
@@ -94,7 +93,6 @@ impl SweepConfig {
             quarantine: false,
             max_retries: 0,
             fault_plan: None,
-            proc_fault: None,
             max_restarts: 2,
             tick_ms: 25,
             stall_ticks: 400,
@@ -176,8 +174,8 @@ pub fn run_sweep(cfg: &SweepConfig, scale: &Scale) -> io::Result<SweepReport> {
 
     let sweep_start = Instant::now();
     let mut states: Vec<State> = Vec::with_capacity(cfg.shards);
-    // Current attempt per shard, 0-based — the same index ProcFaultPlan
-    // entries are keyed by (`2:0:die` fires on shard 2's first attempt).
+    // Current attempt per shard, 0-based — the same index `proc=` fault
+    // entries are keyed by (`proc=2:0:die` fires on shard 2's first attempt).
     let mut attempts: Vec<u32> = vec![0; cfg.shards];
     let mut failures: Vec<Vec<String>> = vec![Vec::new(); cfg.shards];
     let mut settled_ms: Vec<f64> = vec![0.0; cfg.shards];
@@ -473,9 +471,6 @@ fn spawn_worker(cfg: &SweepConfig, number: usize, attempt: u32) -> io::Result<Ch
     }
     if let Some(spec) = &cfg.fault_plan {
         cmd.arg("--fault-plan").arg(spec);
-    }
-    if let Some(spec) = &cfg.proc_fault {
-        cmd.arg("--proc-fault").arg(spec);
     }
     let out = std::fs::File::create(
         cfg.dir

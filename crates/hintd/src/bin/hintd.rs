@@ -10,10 +10,10 @@
 //! Binds (port 0 = ephemeral), prints `hintd listening on ADDR`, writes
 //! the address to `--addr-file` (atomically, so a watcher never reads a
 //! half-written address), then serves until killed. `--fault-plan`
-//! installs a [`sim_support::FaultPlan`]; `exit-after=N` makes the
-//! process exit with code 86 after the N-th journaled batch — the crash
-//! harness's scalpel. Restarting with the same `--data-dir` replays the
-//! journals before accepting traffic.
+//! installs a [`sim_support::FaultPlan`]; its `exit-after=N` entry makes
+//! the process exit with code 86 after the N-th journaled batch — the
+//! crash harness's scalpel. Restarting with the same `--data-dir` replays
+//! the journals before accepting traffic.
 
 use std::io::Write;
 use std::path::PathBuf;

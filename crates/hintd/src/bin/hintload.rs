@@ -3,7 +3,7 @@
 //! ```text
 //! hintload (--addr HOST:PORT | --addr-file PATH)
 //!          [--apps N] [--ops N] [--records N] [--zipf S] [--burst N]
-//!          [--ingest-pct P] [--seed N] [--retries N] [--net-fault SPEC]
+//!          [--ingest-pct P] [--seed N] [--retries N] [--fault-plan SPEC]
 //!          [--out DIR] [--dump-tables PATH] [--dump-only]
 //! ```
 //!
@@ -14,8 +14,9 @@
 //! `results/bench_hintd.json` (`BENCH_ITERS` / `BENCH_WARMUP` control the
 //! repetition; medians and MAD come from the harness).
 //!
-//! `--net-fault` injects a [`sim_support::NetFaultPlan`] at the client's
-//! frame boundary — the loopback way to watch retry/backoff converge.
+//! `--fault-plan` takes a [`sim_support::FaultPlan`] whose `net=` entries
+//! are injected at the client's frame boundary — the loopback way to watch
+//! retry/backoff converge.
 //! `--dump-tables` drains the server (health pings until the backlog hits
 //! zero) and writes every app's canonical table bytes, hex-encoded and
 //! sorted by app, to a file: the crash-recovery harness compares these
@@ -30,7 +31,7 @@ use btb_trace::Trace;
 use btb_workloads::zipf::Zipf;
 use btb_workloads::{AppSpec, InputConfig};
 use hintd::{HintClient, RetryPolicy};
-use sim_support::{BenchHarness, NetFaultPlan, SimRng};
+use sim_support::{BenchHarness, FaultPlan, SimRng};
 
 struct Opts {
     addr: Option<String>,
@@ -43,7 +44,7 @@ struct Opts {
     ingest_pct: u64,
     seed: u64,
     retries: u32,
-    net_fault: Option<String>,
+    fault_plan: FaultPlan,
     out: String,
     dump_tables: Option<PathBuf>,
     dump_only: bool,
@@ -62,7 +63,7 @@ impl Default for Opts {
             ingest_pct: 70,
             seed: 42,
             retries: 4,
-            net_fault: None,
+            fault_plan: FaultPlan::default(),
             out: "results".to_owned(),
             dump_tables: None,
             dump_only: false,
@@ -75,7 +76,7 @@ fn usage(msg: &str) -> ! {
     eprintln!(
         "usage: hintload (--addr HOST:PORT | --addr-file PATH) [--apps N] [--ops N] \
          [--records N] [--zipf S] [--burst N] [--ingest-pct P] [--seed N] [--retries N] \
-         [--net-fault SPEC] [--out DIR] [--dump-tables PATH] [--dump-only]"
+         [--fault-plan SPEC] [--out DIR] [--dump-tables PATH] [--dump-only]"
     );
     std::process::exit(2);
 }
@@ -99,7 +100,10 @@ fn parse_args() -> Opts {
             "--ingest-pct" => opts.ingest_pct = parse(&value("--ingest-pct"), "--ingest-pct"),
             "--seed" => opts.seed = parse(&value("--seed"), "--seed"),
             "--retries" => opts.retries = parse(&value("--retries"), "--retries"),
-            "--net-fault" => opts.net_fault = Some(value("--net-fault")),
+            "--fault-plan" => {
+                opts.fault_plan =
+                    FaultPlan::parse(&value("--fault-plan")).unwrap_or_else(|err| usage(&err))
+            }
             "--out" => opts.out = value("--out"),
             "--dump-tables" => opts.dump_tables = Some(PathBuf::from(value("--dump-tables"))),
             "--dump-only" => opts.dump_only = true,
@@ -146,18 +150,11 @@ fn main() -> ExitCode {
         },
         (None, None) => usage("need --addr or --addr-file"),
     };
-    let plan = match &opts.net_fault {
-        Some(spec) => match NetFaultPlan::parse(spec) {
-            Ok(plan) => plan,
-            Err(err) => usage(&err),
-        },
-        None => NetFaultPlan::default(),
-    };
     let retry = RetryPolicy {
         max_retries: opts.retries,
         ..RetryPolicy::default()
     };
-    let mut client = HintClient::with_faults(&addr, retry, plan, opts.seed);
+    let mut client = HintClient::with_faults(&addr, retry, opts.fault_plan, opts.seed);
 
     let specs = AppSpec::all();
     let apps: Vec<String> = specs

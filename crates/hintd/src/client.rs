@@ -4,18 +4,18 @@
 //! refused, socket errors, decode failures, server-classified transient
 //! errors) are retried on a **fresh connection** with exponential backoff
 //! plus deterministic PRNG jitter — `min(base << attempt, cap) +
-//! jitter(seed)`, the same schedule shape as
-//! [`sim_support::fsio::backoff_delay_ms`] with the jitter decorrelating
+//! jitter(seed)`, the schedule of
+//! [`sim_support::fsio::capped_backoff_ms`] with the jitter decorrelating
 //! a thundering herd without sacrificing replayability. Poison/fatal
 //! errors (e.g. an invalid app name) are returned immediately: retrying a
 //! deterministic rejection is wasted load.
 //!
 //! Fault injection happens here, at the frame boundary, keyed by the
-//! client-side `(connection ordinal, operation index)` — see
-//! [`sim_support::NetFaultPlan`]. Drop and truncate injure the request
-//! before/while it leaves; garble flips a byte in flight (the server's
-//! codec catches it and answers transient); delay stalls the send long
-//! enough to exercise the server's read-deadline ticks. Combined with
+//! client-side `(connection ordinal, operation index)` — the `net=`
+//! entries of a [`sim_support::FaultPlan`]. Drop and truncate injure the
+//! request before/while it leaves; garble flips a byte in flight (the
+//! server's codec catches it and answers transient); delay stalls the send
+//! long enough to exercise the server's read-deadline ticks. Combined with
 //! batch-id deduplication on the server, the loop is exactly-once in
 //! effect: **a retried ingest is acknowledged once and absorbed once, no
 //! matter which copy survived the wire.**
@@ -25,7 +25,7 @@ use std::net::TcpStream;
 use std::time::Duration;
 
 use btb_trace::Trace;
-use sim_support::{FaultClass, NetFaultKind, NetFaultPlan, SimError, SimRng};
+use sim_support::{fsio, FaultClass, FaultPlan, NetFaultKind, SimError, SimRng};
 
 use crate::proto::{
     self, HealthReply, IngestAck, QueryReply, Request, Response, MAX_FRAME, VERB_HEALTH,
@@ -54,12 +54,10 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// The deterministic part of the backoff: `min(base << attempt, cap)`.
+    /// The deterministic part of the backoff: `min(base << attempt, cap)`
+    /// ([`sim_support::fsio::capped_backoff_ms`]).
     pub fn delay_ms(&self, attempt: u32) -> u64 {
-        let base = self.base_delay_ms.max(1);
-        base.checked_shl(attempt)
-            .unwrap_or(self.max_delay_ms)
-            .min(self.max_delay_ms)
+        fsio::capped_backoff_ms(self.base_delay_ms.max(1), self.max_delay_ms, attempt)
     }
 }
 
@@ -68,7 +66,7 @@ impl RetryPolicy {
 pub struct HintClient {
     addr: String,
     retry: RetryPolicy,
-    plan: NetFaultPlan,
+    plan: FaultPlan,
     rng: SimRng,
     conn: Option<TcpStream>,
     /// Ordinal of the current connection (0 = first ever). The fault
@@ -83,15 +81,15 @@ pub struct HintClient {
 impl HintClient {
     /// A client with default retry policy and no injected faults.
     pub fn connect(addr: impl Into<String>) -> Self {
-        Self::with_faults(addr, RetryPolicy::default(), NetFaultPlan::default(), 0)
+        Self::with_faults(addr, RetryPolicy::default(), FaultPlan::default(), 0)
     }
 
-    /// Full-control constructor: retry policy, a network fault plan to
-    /// inject at the frame boundary, and the jitter seed.
+    /// Full-control constructor: retry policy, a fault plan whose `net=`
+    /// entries are injected at the frame boundary, and the jitter seed.
     pub fn with_faults(
         addr: impl Into<String>,
         retry: RetryPolicy,
-        plan: NetFaultPlan,
+        plan: FaultPlan,
         seed: u64,
     ) -> Self {
         Self {
@@ -193,7 +191,7 @@ impl HintClient {
         frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         frame.extend_from_slice(payload);
 
-        if let Some(injected) = self.plan.fault_at(self.conn_id, op) {
+        if let Some(injected) = self.plan.net_fault(self.conn_id, op) {
             match injected.kind {
                 NetFaultKind::Drop => {
                     return Err(SimError {
@@ -317,8 +315,7 @@ mod tests {
         assert_eq!(policy.delay_ms(60), 64, "shift overflow saturates");
         // Jitter is a pure function of the seed.
         let schedule = |seed| {
-            let mut c =
-                HintClient::with_faults("127.0.0.1:1", policy, NetFaultPlan::default(), seed);
+            let mut c = HintClient::with_faults("127.0.0.1:1", policy, FaultPlan::default(), seed);
             (0..6).map(|a| c.backoff_ms(a)).collect::<Vec<_>>()
         };
         assert_eq!(schedule(7), schedule(7));
@@ -340,7 +337,7 @@ mod tests {
                 base_delay_ms: 1,
                 max_delay_ms: 2,
             },
-            NetFaultPlan::default(),
+            FaultPlan::default(),
             0,
         );
         let err = client.health().unwrap_err();

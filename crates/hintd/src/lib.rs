@@ -21,8 +21,8 @@
 //!   apps serve the last committed table stamped `stale` instead of making
 //!   queries wait on recomputes).
 //! * [`client`] — the bounded-retry client: transient failures back off
-//!   exponentially with deterministic PRNG jitter, and a
-//!   [`sim_support::NetFaultPlan`] can injure the wire (drop / delay /
+//!   exponentially with deterministic PRNG jitter, and the `net=` entries
+//!   of a [`sim_support::FaultPlan`] can injure the wire (drop / delay /
 //!   truncate / garble) at chosen `(connection, operation)` sites to prove
 //!   convergence under faults.
 //!
@@ -39,7 +39,7 @@ pub mod store;
 
 pub use client::{HintClient, RetryPolicy};
 pub use proto::{HealthReply, IngestAck, ProtoError, QueryReply, Request, Response, WireTable};
-pub use server::{HintServer, ServerConfig};
+pub use server::{HintServer, ServerConfig, ServerCounters};
 pub use store::{HintStore, StoreConfig};
 
 /// Lower-case hex encoding — the journal's and table-dump's byte carrier.

@@ -57,6 +57,20 @@ impl Default for ServerConfig {
     }
 }
 
+/// A snapshot of a server's connection-level counters
+/// ([`HintServer::counters`]).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ServerCounters {
+    /// Connections accepted.
+    pub connections: u64,
+    /// Request frames handled.
+    pub requests: u64,
+    /// Connections reaped for idling or stalling mid-frame.
+    pub reaped: u64,
+    /// Request frames that failed to decode.
+    pub decode_errors: u64,
+}
+
 #[derive(Default)]
 struct ServerStats {
     connections: AtomicU64,
@@ -142,15 +156,14 @@ impl HintServer {
         &self.store
     }
 
-    /// Snapshot of the connection-level counters:
-    /// `(connections, requests, reaped, decode_errors)`.
-    pub fn counters(&self) -> (u64, u64, u64, u64) {
-        (
-            self.stats.connections.load(Ordering::Relaxed),
-            self.stats.requests.load(Ordering::Relaxed),
-            self.stats.reaped.load(Ordering::Relaxed),
-            self.stats.decode_errors.load(Ordering::Relaxed),
-        )
+    /// Snapshot of the connection-level counters.
+    pub fn counters(&self) -> ServerCounters {
+        ServerCounters {
+            connections: self.stats.connections.load(Ordering::Relaxed),
+            requests: self.stats.requests.load(Ordering::Relaxed),
+            reaped: self.stats.reaped.load(Ordering::Relaxed),
+            decode_errors: self.stats.decode_errors.load(Ordering::Relaxed),
+        }
     }
 
     /// Stops accepting, waits for in-flight handlers, joins the accept

@@ -14,7 +14,7 @@ use std::time::{Duration, Instant};
 use btb_model::BtbConfig;
 use btb_trace::{BranchKind, BranchRecord, Trace};
 use hintd::{HintClient, HintServer, RetryPolicy, ServerConfig, StoreConfig};
-use sim_support::{FaultClass, NetFaultPlan};
+use sim_support::{FaultClass, FaultPlan};
 use thermometer::{HintTable, OptProfile, TemperatureConfig};
 
 fn batch(name: &str, pcs: &[u64]) -> Trace {
@@ -160,7 +160,7 @@ fn injected_net_faults_converge_with_zero_lost_acks() {
     //   garbling a semantic field like the app name would be poison)
     // Each failure torches the connection, so the retry lands on the next
     // connection ordinal with a fresh op counter.
-    let plan = NetFaultPlan::parse("0:0:drop,1:1:trunc:6,2:1:garble:10:85").unwrap();
+    let plan = FaultPlan::parse("net=0:0:drop,net=1:1:trunc:6,net=2:1:garble:10:85").unwrap();
     let mut client =
         HintClient::with_faults(server.local_addr().to_string(), fast_retry(), plan, 0xfee1);
     client.set_read_timeout_ms(1_000);
@@ -188,7 +188,7 @@ fn injected_net_faults_converge_with_zero_lost_acks() {
 #[test]
 fn poison_class_override_short_circuits_the_retry_loop() {
     let server = HintServer::start(test_config(8)).unwrap();
-    let plan = NetFaultPlan::parse("0:0:drop:poison").unwrap();
+    let plan = FaultPlan::parse("net=0:0:drop:poison").unwrap();
     let mut client =
         HintClient::with_faults(server.local_addr().to_string(), fast_retry(), plan, 1);
     let started = Instant::now();
@@ -199,8 +199,7 @@ fn poison_class_override_short_circuits_the_retry_loop() {
         "poison must fail fast, not burn the retry budget"
     );
     // The server never saw a request (the drop fired client-side).
-    let (_conns, requests, _reaped, _decode) = server.counters();
-    assert_eq!(requests, 0);
+    assert_eq!(server.counters().requests, 0);
 }
 
 #[test]
@@ -209,13 +208,16 @@ fn invalid_app_names_are_rejected_as_poison_without_retries() {
     let mut client = HintClient::with_faults(
         server.local_addr().to_string(),
         fast_retry(),
-        NetFaultPlan::default(),
+        FaultPlan::default(),
         2,
     );
     let err = client.ingest("bad app", 0, &batch("b", &[4])).unwrap_err();
     assert_eq!(err.class, FaultClass::Poison);
-    let (_conns, requests, _reaped, _decode) = server.counters();
-    assert_eq!(requests, 1, "a deterministic rejection is not retried");
+    assert_eq!(
+        server.counters().requests,
+        1,
+        "a deterministic rejection is not retried"
+    );
 }
 
 #[test]
@@ -241,8 +243,11 @@ fn idle_and_stalled_connections_are_reaped() {
             Ok(n) => panic!("{name}: server sent {n} unsolicited bytes"),
         }
     }
-    let (_conns, _requests, reaped, _decode) = server.counters();
-    assert_eq!(reaped, 2, "both zombie connections reaped");
+    assert_eq!(
+        server.counters().reaped,
+        2,
+        "both zombie connections reaped"
+    );
 
     // The server is still healthy for well-behaved clients afterwards.
     let mut client = HintClient::connect(server.local_addr().to_string());

@@ -11,10 +11,11 @@
 //!   [`FaultClass::Fatal`] (the run itself is compromised — abort).
 //!   Executors decide retry vs quarantine vs abort from the class alone.
 //! * **Injection** — a [`FaultPlan`] parsed from a spec string (the
-//!   `figures --fault-plan` flag) chooses, *deterministically*, which grid
-//!   cells panic, which `results/` writes fail, and when the process dies
-//!   mid-run. Every choice is a pure function of the plan seed and the
-//!   fault site, so a faulty run is exactly reproducible — the property the
+//!   `--fault-plan` flag of `figures`, `hintd` and `hintload`) chooses,
+//!   *deterministically*, which grid cells panic, which `results/` writes
+//!   fail, how and when a process dies, and which client frames the wire
+//!   injures. Every choice is a pure function of the plan and the fault
+//!   site, so a faulty run is exactly reproducible — the property the
 //!   crash-resume CI stage relies on.
 //!
 //! [`isolated`] is the only sanctioned `catch_unwind` wrapper outside the
@@ -23,30 +24,46 @@
 //!
 //! # Plan spec grammar
 //!
-//! Comma-separated `key=value` entries:
+//! One loop parses every plan: comma-separated `key=field:field…`
+//! entries. Each binary consults the keys it has sites for — cells and
+//! writes in `figures`, process faults in `figures` workers and `hintd`,
+//! frames in the `hintd` client.
 //!
-//! | entry | meaning |
-//! |-------|---------|
-//! | `seed=N`              | seeds rate-based draws (default 0) |
-//! | `panic=FIG:IDX:CLASS` | cell `(FIG, IDX)` panics with `CLASS` (repeatable) |
-//! | `panic-rate=P:CLASS`  | every cell panics with probability `P` |
-//! | `io=PATTERN:K`        | first `K` writes to paths containing `PATTERN` fail transiently |
-//! | `exit-after=N`        | `process::exit(86)` once `N` cells have been journaled |
+//! | entry | site | meaning |
+//! |-------|------|---------|
+//! | `seed=N`                          | cell    | seeds `panic-rate` draws (default 0) |
+//! | `panic=FIG:IDX:CLASS`             | cell    | cell `(FIG, IDX)` panics with `CLASS` |
+//! | `panic-rate=P:CLASS`              | cell    | every cell panics with probability `P` |
+//! | `io=PATTERN:K`                    | write   | first `K` writes to paths containing `PATTERN` fail |
+//! | `exit-after=N`                    | process | every process dies after `N` journaled cells |
+//! | `proc=SHARD:ATTEMPT:KIND[:AFTER]` | process | one shard attempt does `KIND` after `AFTER` cells |
+//! | `net=CONN:OP:KIND[:ARGS][:CLASS]` | frame   | client frame `OP` on connection `CONN` is injured |
 //!
-//! `CLASS` is `transient` (fires on attempt 0 only — a retry succeeds),
-//! `poison` (fires on every attempt), or `fatal`.
+//! * `CLASS` is `transient` (a cell fault fires on attempt 0 only — a
+//!   retry succeeds), `poison` (fires on every attempt), or `fatal`.
+//!   Injected write failures are transient.
+//! * `proc=`: `SHARD` is 1-based, as in `--shard i/N`; `ATTEMPT` is
+//!   0-based; `AFTER` defaults to 1. `KIND` is `die` (exit 86), `hang`,
+//!   `torn` (tear the journal tail, then exit 86) or `garbage` (garbage on
+//!   stdout, then exit 0). `exit-after=N` is a `die` after `N` cells.
+//! * `net=`: `KIND` is `drop`, `delay:MS` (`MS` ≤ 10 000), `trunc:N` (only
+//!   the first `N` bytes are sent) or `garble:N:X` (byte `N` mod the frame
+//!   length is XORed with `X` ≠ 0). `CLASS` defaults to `transient`.
+//! * `P` lies in `[0, 1]`; `N` and `AFTER` are ≥ 1. `seed`, `panic-rate`,
+//!   `io` and `exit-after` may each appear once; `panic`, `proc` and `net`
+//!   repeat. A lookup takes the first entry that matches its site, and
+//!   `exit-after` matches every `(shard, attempt)`.
 
 use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-// simlint: allow(D03) -- fault-plane bookkeeping only; decisions are pure in (seed, site)
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::path::PathBuf;
 // simlint: allow(D03) -- guards the installed plan, swapped only at run setup/teardown
 use std::sync::Mutex;
 
 use crate::rng::{SimRng, SplitMix64};
 
-/// Exit code used by [`cell_completed`] when an `exit-after` fault fires —
-/// distinguishable from ordinary failures in `scripts/ci.sh`.
+/// Exit code used by [`cell_completed`] when a `die` or `torn` process
+/// fault fires — distinguishable from ordinary failures in `scripts/ci.sh`.
 pub const CRASH_EXIT_CODE: i32 = 86;
 
 /// How a failure should be treated by the executor.
@@ -206,6 +223,14 @@ struct CellPoint {
     class: FaultClass,
 }
 
+/// A process fault and the `(shard, attempt)` it is addressed to; `None`
+/// addresses every process (`exit-after=N`).
+#[derive(Clone, Debug, PartialEq, Eq)]
+struct ProcPoint {
+    at: Option<(u64, u32)>,
+    fault: ProcFault,
+}
+
 /// A deterministic fault-injection plan. See the [module docs](self) for
 /// the spec grammar. All injection decisions are pure functions of the plan
 /// and the fault site, never of scheduling or wall-clock.
@@ -215,76 +240,126 @@ pub struct FaultPlan {
     cell_points: Vec<CellPoint>,
     panic_rate: Option<(f64, FaultClass)>,
     io_pattern: Option<(String, u32)>,
-    exit_after: Option<u64>,
+    proc_points: Vec<ProcPoint>,
+    net_points: Vec<(u64, u64, NetFault)>,
 }
 
+/// Keys the plan holds one value for. A spec that repeats one is rejected:
+/// keeping only the last entry would silently drop the first.
+const SINGULAR_KEYS: [&str; 4] = ["seed", "panic-rate", "io", "exit-after"];
+
+/// Upper bound accepted for `net=…:delay:MS` entries: fault plans must
+/// never make a test hang for minutes on a typo.
+const MAX_NET_DELAY_MS: u64 = 10_000;
+
 impl FaultPlan {
-    /// Parses a `--fault-plan` spec string.
+    /// Parses a `--fault-plan` spec string. An empty spec is an empty plan.
     pub fn parse(spec: &str) -> Result<Self, String> {
         let mut plan = FaultPlan::default();
-        for entry in spec.split(',').filter(|e| !e.trim().is_empty()) {
+        let mut seen: Vec<&str> = Vec::new();
+        for entry in spec.split(',').map(str::trim).filter(|e| !e.is_empty()) {
             let (key, value) = entry
                 .split_once('=')
                 .ok_or_else(|| format!("fault-plan entry {entry:?} is not key=value"))?;
-            match key.trim() {
-                "seed" => {
-                    plan.seed = value
-                        .trim()
-                        .parse()
-                        .map_err(|_| format!("bad seed {value:?}"))?;
+            let key = key.trim();
+            if SINGULAR_KEYS.contains(&key) {
+                if seen.contains(&key) {
+                    return Err(format!("fault-plan key {key:?} given twice"));
                 }
+                seen.push(key);
+            }
+            let mut fields = Fields {
+                entry,
+                rest: value.trim().split(':').peekable(),
+            };
+            match key {
+                "seed" => plan.seed = fields.num("seed")?,
                 "panic" => {
-                    let mut parts = value.splitn(3, ':');
-                    let figure = parts.next().unwrap_or("").to_owned();
-                    let index: usize = parts
-                        .next()
-                        .ok_or_else(|| format!("panic={value:?}: missing cell index"))?
-                        .parse()
-                        .map_err(|_| format!("panic={value:?}: bad cell index"))?;
-                    let class = FaultClass::parse(
-                        parts
-                            .next()
-                            .ok_or_else(|| format!("panic={value:?}: missing class"))?,
-                    )?;
+                    let figure = fields.next("figure id")?;
                     if figure.is_empty() {
-                        return Err(format!("panic={value:?}: missing figure id"));
+                        return Err(fields.error("missing figure id"));
                     }
                     plan.cell_points.push(CellPoint {
-                        figure,
-                        index,
-                        class,
+                        figure: figure.to_owned(),
+                        index: fields.num("cell index")?,
+                        class: fields.class()?,
                     });
                 }
                 "panic-rate" => {
-                    let (p, class) = value
-                        .split_once(':')
-                        .ok_or_else(|| format!("panic-rate={value:?}: want P:CLASS"))?;
-                    let p: f64 = p
-                        .parse()
-                        .map_err(|_| format!("panic-rate={value:?}: bad probability"))?;
+                    let p: f64 = fields.num("probability")?;
                     if !(0.0..=1.0).contains(&p) {
-                        return Err(format!("panic-rate={p}: probability outside [0, 1]"));
+                        return Err(fields.error(&format!("probability {p} outside [0, 1]")));
                     }
-                    plan.panic_rate = Some((p, FaultClass::parse(class)?));
+                    plan.panic_rate = Some((p, fields.class()?));
                 }
                 "io" => {
-                    let (pattern, k) = value
-                        .split_once(':')
-                        .ok_or_else(|| format!("io={value:?}: want PATTERN:K"))?;
-                    let k: u32 = k
-                        .parse()
-                        .map_err(|_| format!("io={value:?}: bad failure count"))?;
-                    plan.io_pattern = Some((pattern.to_owned(), k));
+                    let pattern = fields.next("path pattern")?.to_owned();
+                    plan.io_pattern = Some((pattern, fields.num("failure count")?));
                 }
-                "exit-after" => {
-                    plan.exit_after = Some(
-                        value
-                            .trim()
-                            .parse()
-                            .map_err(|_| format!("bad exit-after {value:?}"))?,
-                    );
+                "exit-after" => plan.proc_points.push(ProcPoint {
+                    at: None,
+                    fault: ProcFault {
+                        kind: ProcFaultKind::Die,
+                        after_cells: fields.cells()?,
+                    },
+                }),
+                "proc" => {
+                    let shard: u64 = fields.num("shard number")?;
+                    if shard == 0 {
+                        return Err(fields.error("shards are 1-based (as in --shard i/N)"));
+                    }
+                    let attempt: u32 = fields.num("attempt index")?;
+                    let kind = match fields.next("kind")? {
+                        "die" => ProcFaultKind::Die,
+                        "hang" => ProcFaultKind::Hang,
+                        "torn" => ProcFaultKind::TornJournal,
+                        "garbage" => ProcFaultKind::GarbageStdout,
+                        other => return Err(fields.error(&format!("unknown proc kind {other:?}"))),
+                    };
+                    let after_cells = if fields.is_done() { 1 } else { fields.cells()? };
+                    plan.proc_points.push(ProcPoint {
+                        at: Some((shard, attempt)),
+                        fault: ProcFault { kind, after_cells },
+                    });
+                }
+                "net" => {
+                    let conn: u64 = fields.num("connection id")?;
+                    let op: u64 = fields.num("operation index")?;
+                    let kind = match fields.next("kind")? {
+                        "drop" => NetFaultKind::Drop,
+                        "delay" => {
+                            let ms = fields.num("delay")?;
+                            if ms > MAX_NET_DELAY_MS {
+                                return Err(fields.error(&format!(
+                                    "delay {ms} ms exceeds the {MAX_NET_DELAY_MS} ms cap"
+                                )));
+                            }
+                            NetFaultKind::Delay { ms }
+                        }
+                        "trunc" => NetFaultKind::Truncate {
+                            offset: fields.num("truncate offset")?,
+                        },
+                        "garble" => {
+                            let offset = fields.num("garble offset")?;
+                            let xor = fields.num("garble mask")?;
+                            if xor == 0 {
+                                return Err(fields.error("garble mask 0 is a no-op"));
+                            }
+                            NetFaultKind::Garble { offset, xor }
+                        }
+                        other => return Err(fields.error(&format!("unknown net kind {other:?}"))),
+                    };
+                    let class = if fields.is_done() {
+                        kind.class()
+                    } else {
+                        fields.class()?
+                    };
+                    plan.net_points.push((conn, op, NetFault { kind, class }));
                 }
                 other => return Err(format!("unknown fault-plan key {other:?}")),
+            }
+            if !fields.is_done() {
+                return Err(fields.error("trailing fields"));
             }
         }
         Ok(plan)
@@ -310,41 +385,120 @@ impl FaultPlan {
         }
         None
     }
+
+    /// The fault planned for operation `op` on client connection `conn`,
+    /// if any; the first matching `net=` entry wins.
+    pub fn net_fault(&self, conn: u64, op: u64) -> Option<NetFault> {
+        self.net_points
+            .iter()
+            .find(|(c, o, _)| *c == conn && *o == op)
+            .map(|(_, _, fault)| *fault)
+    }
+
+    /// The process fault planned for `(shard, attempt)`, if any: the first
+    /// `proc=` entry addressed to those coordinates or an `exit-after`
+    /// entry, whichever the spec lists first. A restart (next attempt) is
+    /// a different key — typically clean, letting a sweep converge;
+    /// listing every attempt simulates a poison shard.
+    pub fn proc_fault(&self, shard: u64, attempt: u32) -> Option<ProcFault> {
+        self.proc_points
+            .iter()
+            .find(|p| p.at.is_none_or(|at| at == (shard, attempt)))
+            .map(|p| p.fault.clone())
+    }
 }
 
-/// Process-wide installed plan plus its runtime counters.
+/// The `:`-separated fields of one spec entry, consumed left to right;
+/// every error names the entry.
+struct Fields<'a> {
+    entry: &'a str,
+    rest: std::iter::Peekable<std::str::Split<'a, char>>,
+}
+
+impl<'a> Fields<'a> {
+    fn error(&self, what: &str) -> String {
+        format!("fault-plan entry {:?}: {what}", self.entry)
+    }
+
+    fn next(&mut self, what: &str) -> Result<&'a str, String> {
+        self.rest
+            .next()
+            .ok_or_else(|| self.error(&format!("missing {what}")))
+    }
+
+    fn num<T: std::str::FromStr>(&mut self, what: &str) -> Result<T, String> {
+        let field = self.next(what)?;
+        field
+            .parse()
+            .map_err(|_| self.error(&format!("bad {what} {field:?}")))
+    }
+
+    /// A journaled-cell count: `exit-after=N` and `proc=…:AFTER`, ≥ 1.
+    fn cells(&mut self) -> Result<u64, String> {
+        match self.num("cell count")? {
+            0 => Err(self.error("cell count must be >= 1")),
+            n => Ok(n),
+        }
+    }
+
+    fn class(&mut self) -> Result<FaultClass, String> {
+        FaultClass::parse(self.next("class")?).map_err(|e| self.error(&e))
+    }
+
+    fn is_done(&mut self) -> bool {
+        self.rest.peek().is_none()
+    }
+}
+
+/// Process-wide installed plan plus its runtime state.
 struct ActivePlan {
     plan: FaultPlan,
     /// Per-path injected-I/O-failure attempt counters.
     io_attempts: Vec<(String, u32)>,
+    /// Cells journaled (or hintd batches accepted) since [`install`].
+    cells_completed: u64,
+    /// The process fault [`cell_completed`] fires — at most one per
+    /// process (one worker = one shard attempt) — and the journal a
+    /// [`ProcFaultKind::TornJournal`] fault tears.
+    armed: Option<ProcFault>,
+    journal: Option<PathBuf>,
 }
 
-// simlint: allow(D03) -- plan registry; swapped at run setup, read-only during execution
+// simlint: allow(D03) -- plan registry; swapped at run setup, its counters touched only at fault checkpoints
 static PLAN: Mutex<Option<ActivePlan>> = Mutex::new(None);
-// simlint: allow(D03) -- crash-countdown telemetry, never read by simulated code
-static CELLS_COMPLETED: AtomicU64 = AtomicU64::new(0);
 
-/// Installs `plan` process-wide (replacing any previous plan) and resets
-/// the runtime fault counters.
+/// Installs `plan` process-wide, replacing any previous plan and all of
+/// its runtime state, and arms the plan's `exit-after` fault (if any).
 pub fn install(plan: FaultPlan) {
-    let mut slot = PLAN.lock().expect("fault plan registry poisoned");
-    *slot = Some(ActivePlan {
+    let armed = plan
+        .proc_points
+        .iter()
+        .find(|p| p.at.is_none())
+        .map(|p| p.fault.clone());
+    *PLAN.lock().expect("fault plan registry poisoned") = Some(ActivePlan {
         plan,
         io_attempts: Vec::new(),
+        cells_completed: 0,
+        armed,
+        journal: None,
     });
-    CELLS_COMPLETED.store(0, Ordering::SeqCst);
+}
+
+/// Arms the installed plan's process fault for this worker's
+/// `(shard, attempt)` ([`FaultPlan::proc_fault`]) in place of the one
+/// [`install`] armed; `journal` is the file a torn fault tears. Returns
+/// the armed fault; without an installed plan nothing is armed.
+pub fn arm(shard: u64, attempt: u32, journal: PathBuf) -> Option<ProcFault> {
+    let mut guard = PLAN.lock().expect("fault plan registry poisoned");
+    let active = guard.as_mut()?;
+    active.armed = active.plan.proc_fault(shard, attempt);
+    active.journal = Some(journal);
+    active.armed.clone()
 }
 
 /// Removes the installed plan; subsequent checks are no-ops.
 pub fn clear() {
     *PLAN.lock().expect("fault plan registry poisoned") = None;
-    *PROC_FAULT.lock().expect("proc fault slot poisoned") = None;
-    CELLS_COMPLETED.store(0, Ordering::SeqCst);
-}
-
-/// Whether a fault plan is currently installed.
-pub fn is_active() -> bool {
-    PLAN.lock().expect("fault plan registry poisoned").is_some()
 }
 
 /// Injection checkpoint at the start of a cell attempt. Panics with a
@@ -371,23 +525,23 @@ pub fn cell_attempt(figure: &str, index: usize, attempt: u32) {
     }
 }
 
-/// Crash checkpoint: counts journaled cells and, when the plan's
-/// `exit-after` threshold (or an armed [`ProcFault`]) is reached, performs
-/// the planned process-level failure — simulating a mid-run crash for the
-/// resume tests and the shard-supervisor battery.
+/// Crash checkpoint, called once per journaled grid cell (or accepted
+/// hintd batch): counts it and, once the armed process fault's threshold
+/// is reached, performs the planned failure — simulating a mid-run crash
+/// for the resume tests, the hintd crash battery and the shard-supervisor
+/// battery. Never returns when a fault fires.
 pub fn cell_completed() {
-    let exit_after = {
-        let guard = PLAN.lock().expect("fault plan registry poisoned");
-        guard.as_ref().and_then(|active| active.plan.exit_after)
+    let (fault, journal, done) = {
+        let mut guard = PLAN.lock().expect("fault plan registry poisoned");
+        let Some(active) = guard.as_mut() else { return };
+        active.cells_completed += 1;
+        let done = active.cells_completed;
+        let Some(fault) = active.armed.take_if(|f| done >= f.after_cells) else {
+            return;
+        };
+        (fault, active.journal.clone(), done)
     };
-    let done = CELLS_COMPLETED.fetch_add(1, Ordering::SeqCst) + 1;
-    if let Some(limit) = exit_after {
-        if done >= limit {
-            eprintln!("fault plan: simulated crash after {done} journaled cells");
-            std::process::exit(CRASH_EXIT_CODE);
-        }
-    }
-    maybe_fire_proc_fault(done);
+    fire(fault.kind, journal, done);
 }
 
 /// Injection checkpoint for `results/` writes: returns an injected
@@ -556,16 +710,6 @@ impl NetFaultKind {
     pub fn class(self) -> FaultClass {
         FaultClass::Transient
     }
-
-    /// Lower-case spec name.
-    pub fn name(self) -> &'static str {
-        match self {
-            NetFaultKind::Drop => "drop",
-            NetFaultKind::Delay { .. } => "delay",
-            NetFaultKind::Truncate { .. } => "trunc",
-            NetFaultKind::Garble { .. } => "garble",
-        }
-    }
 }
 
 /// A planned network fault: fires on exactly one `(connection, operation)`
@@ -578,128 +722,12 @@ pub struct NetFault {
     pub class: FaultClass,
 }
 
-/// A deterministic network fault plan: a set of [`NetFault`]s addressed by
-/// `(connection id, operation index)`. Like [`FaultPlan`], every decision
-/// is a pure function of the plan and the site, so a faulty exchange is
-/// exactly replayable.
-///
-/// # Spec grammar
-///
-/// Comma-separated entries `CONN:OP:KIND[:ARGS][:CLASS]`:
-///
-/// | entry | meaning |
-/// |-------|---------|
-/// | `C:O:drop`          | frame `O` on connection `C` is discarded |
-/// | `C:O:delay:MS`      | frame delayed `MS` ms (capped at 10 000) |
-/// | `C:O:trunc:N`       | only the first `N` bytes are delivered |
-/// | `C:O:garble:N:X`    | byte `N` (mod frame len) XORed with `X` |
-///
-/// `CLASS` (`transient`/`poison`/`fatal`) optionally overrides the default
-/// transient classification, e.g. `0:1:drop:poison`.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct NetFaultPlan {
-    entries: Vec<(u64, u64, NetFault)>,
-}
-
-/// Upper bound accepted for `delay` entries: fault plans must never make a
-/// test hang for minutes on a typo.
-const MAX_NET_DELAY_MS: u64 = 10_000;
-
-impl NetFaultPlan {
-    /// Parses the spec grammar above. An empty spec is an empty plan.
-    pub fn parse(spec: &str) -> Result<Self, String> {
-        let mut plan = NetFaultPlan::default();
-        for entry in spec.split(',').filter(|e| !e.trim().is_empty()) {
-            let parts: Vec<&str> = entry.trim().split(':').collect();
-            if parts.len() < 3 {
-                return Err(format!("net-fault entry {entry:?} wants CONN:OP:KIND"));
-            }
-            let conn: u64 = parts[0]
-                .parse()
-                .map_err(|_| format!("net-fault {entry:?}: bad connection id"))?;
-            let op: u64 = parts[1]
-                .parse()
-                .map_err(|_| format!("net-fault {entry:?}: bad operation index"))?;
-            let (kind, consumed) = match parts[2] {
-                "drop" => (NetFaultKind::Drop, 3),
-                "delay" => {
-                    let ms: u64 = parts
-                        .get(3)
-                        .ok_or_else(|| format!("net-fault {entry:?}: delay wants :MS"))?
-                        .parse()
-                        .map_err(|_| format!("net-fault {entry:?}: bad delay"))?;
-                    if ms > MAX_NET_DELAY_MS {
-                        return Err(format!(
-                            "net-fault {entry:?}: delay {ms} ms exceeds the {MAX_NET_DELAY_MS} ms cap"
-                        ));
-                    }
-                    (NetFaultKind::Delay { ms }, 4)
-                }
-                "trunc" => {
-                    let offset: usize = parts
-                        .get(3)
-                        .ok_or_else(|| format!("net-fault {entry:?}: trunc wants :N"))?
-                        .parse()
-                        .map_err(|_| format!("net-fault {entry:?}: bad truncate offset"))?;
-                    (NetFaultKind::Truncate { offset }, 4)
-                }
-                "garble" => {
-                    let offset: usize = parts
-                        .get(3)
-                        .ok_or_else(|| format!("net-fault {entry:?}: garble wants :N:X"))?
-                        .parse()
-                        .map_err(|_| format!("net-fault {entry:?}: bad garble offset"))?;
-                    let xor: u8 = parts
-                        .get(4)
-                        .ok_or_else(|| format!("net-fault {entry:?}: garble wants :N:X"))?
-                        .parse()
-                        .map_err(|_| format!("net-fault {entry:?}: bad garble mask"))?;
-                    if xor == 0 {
-                        return Err(format!("net-fault {entry:?}: garble mask 0 is a no-op"));
-                    }
-                    (NetFaultKind::Garble { offset, xor }, 5)
-                }
-                other => return Err(format!("unknown net-fault kind {other:?}")),
-            };
-            let class = match parts.get(consumed) {
-                Some(name) => FaultClass::parse(name)?,
-                None => kind.class(),
-            };
-            if parts.len() > consumed + 1 {
-                return Err(format!("net-fault {entry:?}: trailing fields"));
-            }
-            plan.entries.push((conn, op, NetFault { kind, class }));
-        }
-        Ok(plan)
-    }
-
-    /// The fault planned for operation `op` on connection `conn`, if any —
-    /// a pure function of the plan and the site. The first matching entry
-    /// wins, mirroring `FaultPlan::cell_fault`.
-    pub fn fault_at(&self, conn: u64, op: u64) -> Option<NetFault> {
-        self.entries
-            .iter()
-            .find(|(c, o, _)| *c == conn && *o == op)
-            .map(|(_, _, fault)| *fault)
-    }
-
-    /// Whether the plan has no entries.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Number of planned faults.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-}
-
 /// A process-level fault: how a sharded-sweep worker process dies (or
-/// misbehaves) once it has journaled `after_cells` grid cells. Unlike the
-/// in-process [`FaultPlan`] checkpoints — which panic *inside* a cell and
-/// are healed by `fault::isolated` — these simulate the failure modes a
-/// shard **supervisor** must survive: the whole worker disappearing,
-/// wedging, or lying about success.
+/// misbehaves) once it has journaled `after_cells` grid cells. Unlike a
+/// plan's cell faults — which panic *inside* a cell and are healed by
+/// `fault::isolated` — these simulate the failure modes a shard
+/// **supervisor** must survive: the whole worker disappearing, wedging,
+/// or lying about success.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ProcFaultKind {
     /// `process::exit(CRASH_EXIT_CODE)` mid-sweep — the moral equivalent of
@@ -731,7 +759,8 @@ impl ProcFaultKind {
     }
 }
 
-/// One planned process-level fault, armed inside a sweep worker.
+/// One planned process-level fault (`proc=` or `exit-after=`), armed
+/// by [`install`] or [`arm`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ProcFault {
     /// What the worker does at the trigger point.
@@ -740,134 +769,10 @@ pub struct ProcFault {
     pub after_cells: u64,
 }
 
-/// A deterministic process-fault plan for sharded sweeps, keyed by
-/// `(shard, attempt)` so every failure mode is exactly reproducible: the
-/// supervisor forwards the spec to each worker, and the worker arms only
-/// the entry addressed to its own coordinates. A restart (next attempt)
-/// therefore sees a *different* key — typically clean, letting the sweep
-/// converge; listing every attempt simulates a poison shard.
-///
-/// # Spec grammar
-///
-/// Comma-separated entries `SHARD:ATTEMPT:KIND[:AFTER]` (`SHARD` is the
-/// 1-based shard number shown in `--shard i/N`; `AFTER` defaults to 1):
-///
-/// | entry | meaning |
-/// |-------|---------|
-/// | `2:0:die:3`   | shard 2's first attempt exits after 3 journaled cells |
-/// | `1:0:hang:2`  | shard 1's first attempt wedges after 2 cells |
-/// | `3:1:torn`    | shard 3's first *restart* tears its journal and dies |
-/// | `4:0:garbage` | shard 4 prints garbage and exits 0 without finishing |
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ProcFaultPlan {
-    entries: Vec<(u64, u32, ProcFault)>,
-}
-
-impl ProcFaultPlan {
-    /// Parses the spec grammar above. An empty spec is an empty plan.
-    pub fn parse(spec: &str) -> Result<Self, String> {
-        let mut plan = ProcFaultPlan::default();
-        for entry in spec.split(',').filter(|e| !e.trim().is_empty()) {
-            let parts: Vec<&str> = entry.trim().split(':').collect();
-            if parts.len() < 3 {
-                return Err(format!(
-                    "proc-fault entry {entry:?} wants SHARD:ATTEMPT:KIND[:AFTER]"
-                ));
-            }
-            let shard: u64 = parts[0]
-                .parse()
-                .map_err(|_| format!("proc-fault {entry:?}: bad shard number"))?;
-            if shard == 0 {
-                return Err(format!(
-                    "proc-fault {entry:?}: shards are 1-based (as in --shard i/N)"
-                ));
-            }
-            let attempt: u32 = parts[1]
-                .parse()
-                .map_err(|_| format!("proc-fault {entry:?}: bad attempt index"))?;
-            let kind = match parts[2] {
-                "die" => ProcFaultKind::Die,
-                "hang" => ProcFaultKind::Hang,
-                "torn" => ProcFaultKind::TornJournal,
-                "garbage" => ProcFaultKind::GarbageStdout,
-                other => return Err(format!("unknown proc-fault kind {other:?}")),
-            };
-            let after_cells = match parts.get(3) {
-                Some(n) => n
-                    .parse()
-                    .map_err(|_| format!("proc-fault {entry:?}: bad cell count"))?,
-                None => 1,
-            };
-            if after_cells == 0 {
-                return Err(format!("proc-fault {entry:?}: AFTER must be >= 1"));
-            }
-            if parts.len() > 4 {
-                return Err(format!("proc-fault {entry:?}: trailing fields"));
-            }
-            plan.entries
-                .push((shard, attempt, ProcFault { kind, after_cells }));
-        }
-        Ok(plan)
-    }
-
-    /// The fault planned for `(shard, attempt)`, if any — a pure function
-    /// of the plan and the coordinates; the first matching entry wins.
-    pub fn fault_for(&self, shard: u64, attempt: u32) -> Option<ProcFault> {
-        self.entries
-            .iter()
-            .find(|(s, a, _)| *s == shard && *a == attempt)
-            .map(|(_, _, fault)| fault.clone())
-    }
-
-    /// Whether the plan has no entries.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Number of planned faults.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-}
-
-/// An armed process fault plus the journal path [`ProcFaultKind::TornJournal`]
-/// tears. At most one fault is armed per process (one worker = one shard
-/// attempt = one plan entry).
-struct ArmedProcFault {
-    fault: ProcFault,
-    journal_path: Option<std::path::PathBuf>,
-}
-
-// simlint: allow(D03) -- armed-fault slot; written once at worker startup, read at the cell checkpoint
-static PROC_FAULT: Mutex<Option<ArmedProcFault>> = Mutex::new(None);
-
-/// Arms `fault` in this process; it fires inside [`cell_completed`] once
-/// the journaled-cell count reaches `fault.after_cells`. `journal_path`
-/// is required by the torn-journal kind (it must tear the real journal).
-pub fn arm_proc_fault(fault: ProcFault, journal_path: Option<std::path::PathBuf>) {
-    *PROC_FAULT.lock().expect("proc fault slot poisoned") = Some(ArmedProcFault {
-        fault,
-        journal_path,
-    });
-}
-
-/// Disarms any armed process fault (also done by [`clear`]).
-pub fn disarm_proc_fault() {
-    *PROC_FAULT.lock().expect("proc fault slot poisoned") = None;
-}
-
-/// Fires the armed process fault, if its cell threshold is met. Never
-/// returns when a fault actually fires (exit or hang).
-fn maybe_fire_proc_fault(cells_done: u64) {
-    let armed = {
-        let mut guard = PROC_FAULT.lock().expect("proc fault slot poisoned");
-        match guard.as_ref() {
-            Some(armed) if cells_done >= armed.fault.after_cells => guard.take(),
-            _ => None,
-        }
-    };
-    let Some(armed) = armed else { return };
-    match armed.fault.kind {
+/// Performs a process fault that [`cell_completed`] found due. Never
+/// returns (exit or hang).
+fn fire(kind: ProcFaultKind, journal: Option<PathBuf>, cells_done: u64) -> ! {
+    match kind {
         ProcFaultKind::Die => {
             eprintln!("proc fault: dying after {cells_done} journaled cells");
             std::process::exit(CRASH_EXIT_CODE);
@@ -882,7 +787,7 @@ fn maybe_fire_proc_fault(cells_done: u64) {
         }
         ProcFaultKind::TornJournal => {
             eprintln!("proc fault: tearing journal after {cells_done} journaled cells");
-            if let Some(path) = &armed.journal_path {
+            if let Some(path) = &journal {
                 use std::io::Write as _;
                 // Raw append, no newline, invalid UTF-8 mid-record: the
                 // exact bytes a power loss mid-write leaves behind. The
@@ -1019,11 +924,30 @@ mod tests {
         assert_eq!(plan.io_pattern, Some(("stats".to_owned(), 2)));
 
         let with_exit = FaultPlan::parse("exit-after=5").unwrap();
-        assert_eq!(with_exit.exit_after, Some(5));
+        let die_after_5 = Some(ProcFault {
+            kind: ProcFaultKind::Die,
+            after_cells: 5,
+        });
+        assert_eq!(with_exit.proc_fault(1, 0), die_after_5);
+        assert_eq!(
+            with_exit.proc_fault(7, 3),
+            die_after_5,
+            "exit-after addresses every process"
+        );
 
         assert!(FaultPlan::parse("panic=fig01:x:poison").is_err());
         assert!(FaultPlan::parse("panic-rate=1.5:poison").is_err());
         assert!(FaultPlan::parse("frobnicate=1").is_err());
+        assert!(FaultPlan::parse("exit-after=0").is_err(), "N >= 1");
+        for (spec, key) in [
+            ("seed=1,seed=2", "seed"),
+            ("panic-rate=0.1:poison,panic-rate=0.2:poison", "panic-rate"),
+            ("io=a:1,io=b:2", "io"),
+            ("exit-after=3,exit-after=4", "exit-after"),
+        ] {
+            let err = FaultPlan::parse(spec).expect_err(spec);
+            assert!(err.contains(&format!("{key:?}")), "{spec}: {err}");
+        }
         assert!(FaultPlan::parse("").unwrap().cell_points.is_empty());
     }
 
@@ -1078,84 +1002,94 @@ mod tests {
 
     #[test]
     fn net_fault_plan_round_trips_the_grammar() {
-        let plan = NetFaultPlan::parse("0:2:drop,1:0:delay:250,1:3:trunc:7,2:1:garble:5:255")
-            .expect("valid spec");
-        assert_eq!(plan.len(), 4);
+        let plan =
+            FaultPlan::parse("net=0:2:drop,net=1:0:delay:250,net=1:3:trunc:7,net=2:1:garble:5:255")
+                .expect("valid spec");
+        assert_eq!(plan.net_points.len(), 4);
         assert_eq!(
-            plan.fault_at(0, 2),
+            plan.net_fault(0, 2),
             Some(NetFault {
                 kind: NetFaultKind::Drop,
                 class: FaultClass::Transient,
             })
         );
         assert_eq!(
-            plan.fault_at(1, 0).map(|f| f.kind),
+            plan.net_fault(1, 0).map(|f| f.kind),
             Some(NetFaultKind::Delay { ms: 250 })
         );
         assert_eq!(
-            plan.fault_at(1, 3).map(|f| f.kind),
+            plan.net_fault(1, 3).map(|f| f.kind),
             Some(NetFaultKind::Truncate { offset: 7 })
         );
         assert_eq!(
-            plan.fault_at(2, 1).map(|f| f.kind),
+            plan.net_fault(2, 1).map(|f| f.kind),
             Some(NetFaultKind::Garble {
                 offset: 5,
                 xor: 255
             })
         );
-        assert_eq!(plan.fault_at(0, 0), None, "unplanned site is clean");
-        assert!(NetFaultPlan::parse("").unwrap().is_empty());
+        assert_eq!(plan.net_fault(0, 0), None, "unplanned site is clean");
+        assert!(FaultPlan::parse("").unwrap().net_points.is_empty());
 
-        assert!(NetFaultPlan::parse("0:drop").is_err(), "missing op");
-        assert!(NetFaultPlan::parse("0:0:warp").is_err(), "unknown kind");
-        assert!(NetFaultPlan::parse("0:0:delay").is_err(), "delay wants ms");
+        assert!(FaultPlan::parse("net=0:drop").is_err(), "missing op");
+        assert!(FaultPlan::parse("net=0:0:warp").is_err(), "unknown kind");
+        assert!(FaultPlan::parse("net=0:0:delay").is_err(), "delay wants ms");
         assert!(
-            NetFaultPlan::parse("0:0:delay:99999").is_err(),
+            FaultPlan::parse("net=0:0:delay:99999").is_err(),
             "delay cap enforced"
         );
         assert!(
-            NetFaultPlan::parse("0:0:garble:1:0").is_err(),
+            FaultPlan::parse("net=0:0:garble:1:0").is_err(),
             "no-op garble rejected"
         );
         assert!(
-            NetFaultPlan::parse("0:0:drop:poison:x").is_err(),
+            FaultPlan::parse("net=0:0:drop:poison:x").is_err(),
             "trailing fields rejected"
         );
     }
 
     #[test]
     fn net_fault_class_defaults_transient_and_overrides_parse() {
-        for spec in ["7:0:drop", "7:0:delay:1", "7:0:trunc:0", "7:0:garble:0:1"] {
-            let plan = NetFaultPlan::parse(spec).unwrap();
+        for spec in [
+            "net=7:0:drop",
+            "net=7:0:delay:1",
+            "net=7:0:trunc:0",
+            "net=7:0:garble:0:1",
+        ] {
+            let plan = FaultPlan::parse(spec).unwrap();
             assert_eq!(
-                plan.fault_at(7, 0).unwrap().class,
+                plan.net_fault(7, 0).unwrap().class,
                 FaultClass::Transient,
                 "{spec}: wire faults default to transient"
             );
         }
-        let overridden = NetFaultPlan::parse("7:0:drop:poison,7:1:trunc:3:fatal").unwrap();
-        assert_eq!(overridden.fault_at(7, 0).unwrap().class, FaultClass::Poison);
-        assert_eq!(overridden.fault_at(7, 1).unwrap().class, FaultClass::Fatal);
+        let overridden = FaultPlan::parse("net=7:0:drop:poison,net=7:1:trunc:3:fatal").unwrap();
+        assert_eq!(
+            overridden.net_fault(7, 0).unwrap().class,
+            FaultClass::Poison
+        );
+        assert_eq!(overridden.net_fault(7, 1).unwrap().class, FaultClass::Fatal);
     }
 
     #[test]
     fn proc_fault_plan_round_trips_the_grammar() {
         let plan =
-            ProcFaultPlan::parse("2:0:die:3,1:0:hang:2,3:1:torn,4:0:garbage").expect("valid spec");
-        assert_eq!(plan.len(), 4);
+            FaultPlan::parse("proc=2:0:die:3,proc=1:0:hang:2,proc=3:1:torn,proc=4:0:garbage")
+                .expect("valid spec");
+        assert_eq!(plan.proc_points.len(), 4);
         assert_eq!(
-            plan.fault_for(2, 0),
+            plan.proc_fault(2, 0),
             Some(ProcFault {
                 kind: ProcFaultKind::Die,
                 after_cells: 3,
             })
         );
         assert_eq!(
-            plan.fault_for(1, 0).map(|f| f.kind),
+            plan.proc_fault(1, 0).map(|f| f.kind),
             Some(ProcFaultKind::Hang)
         );
         assert_eq!(
-            plan.fault_for(3, 1),
+            plan.proc_fault(3, 1),
             Some(ProcFault {
                 kind: ProcFaultKind::TornJournal,
                 after_cells: 1,
@@ -1163,32 +1097,35 @@ mod tests {
             "AFTER defaults to 1"
         );
         assert_eq!(
-            plan.fault_for(4, 0).map(|f| f.kind),
+            plan.proc_fault(4, 0).map(|f| f.kind),
             Some(ProcFaultKind::GarbageStdout)
         );
         // Keyed by (shard, attempt): a restart of shard 2 is clean.
-        assert_eq!(plan.fault_for(2, 1), None);
-        assert_eq!(plan.fault_for(5, 0), None, "unplanned shard is clean");
-        assert!(ProcFaultPlan::parse("").unwrap().is_empty());
+        assert_eq!(plan.proc_fault(2, 1), None);
+        assert_eq!(plan.proc_fault(5, 0), None, "unplanned shard is clean");
+        assert!(FaultPlan::parse("").unwrap().proc_points.is_empty());
 
-        assert!(ProcFaultPlan::parse("1:die").is_err(), "missing attempt");
+        assert!(FaultPlan::parse("proc=1:die").is_err(), "missing attempt");
         assert!(
-            ProcFaultPlan::parse("0:0:die").is_err(),
+            FaultPlan::parse("proc=0:0:die").is_err(),
             "shards are 1-based"
         );
-        assert!(ProcFaultPlan::parse("1:0:explode").is_err(), "unknown kind");
-        assert!(ProcFaultPlan::parse("1:0:die:0").is_err(), "AFTER >= 1");
         assert!(
-            ProcFaultPlan::parse("1:0:die:1:x").is_err(),
+            FaultPlan::parse("proc=1:0:explode").is_err(),
+            "unknown kind"
+        );
+        assert!(FaultPlan::parse("proc=1:0:die:0").is_err(), "AFTER >= 1");
+        assert!(
+            FaultPlan::parse("proc=1:0:die:1:x").is_err(),
             "trailing fields rejected"
         );
     }
 
     #[test]
     fn proc_fault_lookup_is_deterministic_and_first_match_wins() {
-        let plan = ProcFaultPlan::parse("1:0:die:5,1:0:hang:9").unwrap();
-        let a = plan.fault_for(1, 0);
-        let b = plan.fault_for(1, 0);
+        let plan = FaultPlan::parse("proc=1:0:die:5,proc=1:0:hang:9").unwrap();
+        let a = plan.proc_fault(1, 0);
+        let b = plan.proc_fault(1, 0);
         assert_eq!(a, b, "same coordinates => same fault");
         assert_eq!(a.map(|f| f.kind), Some(ProcFaultKind::Die));
     }
@@ -1196,18 +1133,26 @@ mod tests {
     #[test]
     fn arming_below_threshold_is_inert_and_disarm_clears() {
         let _guard = ClearPlan::exclusive();
-        arm_proc_fault(
-            ProcFault {
-                kind: ProcFaultKind::Die,
-                after_cells: u64::MAX,
-            },
-            None,
-        );
+        let armed = || {
+            PLAN.lock()
+                .unwrap()
+                .as_ref()
+                .and_then(|active| active.armed.clone())
+        };
+        install(FaultPlan::parse(&format!("proc=1:0:die:{}", u64::MAX)).unwrap());
+        assert_eq!(armed(), None, "install arms only exit-after");
+        assert_eq!(arm(2, 0, PathBuf::from("unused")), None, "other shard");
+        let planned = arm(1, 0, PathBuf::from("unused")).expect("own coordinates");
+        assert_eq!(planned.after_cells, u64::MAX);
         // Threshold unreachable: the checkpoint must be a no-op.
         cell_completed();
         cell_completed();
-        disarm_proc_fault();
+        assert_eq!(armed(), Some(planned));
+        // A fresh install disarms, as clear does, and arms its exit-after.
+        install(FaultPlan::parse("exit-after=9").unwrap());
+        assert_eq!(armed().map(|f| f.after_cells), Some(9));
         clear();
+        assert_eq!(armed(), None);
         cell_completed();
     }
 

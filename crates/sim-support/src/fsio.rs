@@ -73,10 +73,17 @@ const BACKOFF_CAP_MS: u64 = 1024;
 /// A pure function of the attempt number, so a retried operation's timing
 /// profile is replayable (and unit-testable without a clock).
 pub fn backoff_delay_ms(attempt: u32) -> u64 {
-    BACKOFF_BASE_MS
-        .checked_shl(attempt)
-        .unwrap_or(BACKOFF_CAP_MS)
-        .min(BACKOFF_CAP_MS)
+    capped_backoff_ms(BACKOFF_BASE_MS, BACKOFF_CAP_MS, attempt)
+}
+
+/// The one exponential backoff schedule of the workspace:
+/// `min(base << attempt, cap)`, saturating to `cap` when the shift
+/// overflows. [`backoff_delay_ms`] and the `hintd` client's retry policy
+/// differ only in `base` and `cap`.
+pub fn capped_backoff_ms(base: u64, cap: u64, attempt: u32) -> u64 {
+    1u64.checked_shl(attempt)
+        .and_then(|factor| base.checked_mul(factor))
+        .map_or(cap, |delay| delay.min(cap))
 }
 
 /// [`write_atomic`] with a bounded retry loop for transient

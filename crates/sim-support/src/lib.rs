@@ -24,7 +24,8 @@
 //!   [`DetHashSet`]), the allowlisted O(1) alternative to `BTreeMap` on hot
 //!   lookup paths where `std`'s randomly seeded `HashMap` is banned (the
 //!   `simlint` D01 rule).
-//! * [`fault`] — deterministic fault injection ([`FaultPlan`]) and the
+//! * [`fault`] — deterministic fault injection ([`FaultPlan`]: one
+//!   grammar for cell, write, process and wire faults) and the
 //!   [`SimError`] taxonomy (Transient / Poison / Fatal) that lets batch
 //!   executors retry, quarantine, or abort on partial failure.
 //! * [`fsio`] — crash-safe results I/O: [`fsio::write_atomic`]
@@ -58,8 +59,8 @@ pub mod rng;
 pub use bench::{BenchHarness, BenchResult};
 pub use detmap::{DetHashMap, DetHashSet, DetState};
 pub use fault::{
-    Corruption, FaultClass, FaultPlan, Isolated, NetFault, NetFaultKind, NetFaultPlan, ProcFault,
-    ProcFaultKind, ProcFaultPlan, SimError,
+    Corruption, FaultClass, FaultPlan, Isolated, NetFault, NetFaultKind, ProcFault, ProcFaultKind,
+    SimError,
 };
 pub use pool::{PoolStats, ThreadPool};
 pub use prefetch::prefetch_read;

@@ -155,7 +155,7 @@ sweep_pid=""
 trap 'if [ -n "$sweep_pid" ]; then kill "$sweep_pid" 2>/dev/null || true; fi; rm -rf "$ft_dir"' EXIT
 env "${smoke_env[@]}" ./target/release/figures sweep "${sweep_ids[@]}" \
     --shards 4 --dir "$sw_dir/shards" --threads 2 \
-    --proc-fault 2:0:hang:2 --stall-ticks 1000000 \
+    --fault-plan proc=2:0:hang:2 --stall-ticks 1000000 \
     --markdown "$sw_dir/sweep.md" --journal "$sw_dir/sweep.jsonl" \
     > "$sw_dir/sweep.out" 2> "$sw_dir/sweep.log" &
 sweep_pid=$!

@@ -14,7 +14,8 @@
 //! * a real SIGKILL between acknowledged operations.
 //!
 //! Run uninterrupted over the same sequence, dump both stores, compare
-//! the canonical table bytes.
+//! the canonical table bytes. A mistyped `--fault-plan` must instead stop
+//! `hintd` and `hintload` at startup (exit 2).
 
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
@@ -24,7 +25,7 @@ use btb_model::BtbConfig;
 use btb_trace::{BranchKind, BranchRecord, Trace};
 use hintd::{HintClient, HintStore, RetryPolicy, StoreConfig};
 use sim_support::fault::CRASH_EXIT_CODE;
-use sim_support::NetFaultPlan;
+use sim_support::FaultPlan;
 
 const APPS: [&str; 2] = ["alpha", "beta"];
 
@@ -116,7 +117,7 @@ fn fast_client(addr: &str) -> HintClient {
             base_delay_ms: 1,
             max_delay_ms: 8,
         },
-        NetFaultPlan::default(),
+        FaultPlan::default(),
         0,
     );
     client.set_read_timeout_ms(1_000);
@@ -257,4 +258,20 @@ fn sigkill_between_acks_recovers_byte_identical_tables() {
         reference_tables(0..6),
         "post-SIGKILL tables must be byte-identical to the uninterrupted run"
     );
+}
+
+#[test]
+fn bad_fault_plan_exits_2_in_hintd_and_hintload() {
+    for bin in [env!("CARGO_BIN_EXE_hintd"), env!("CARGO_BIN_EXE_hintload")] {
+        let out = Command::new(bin)
+            .args(["--fault-plan", "bogus=1"])
+            .output()
+            .expect("spawn binary");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{bin}: stderr:\n{stderr}");
+        assert!(
+            stderr.contains("unknown fault-plan key \"bogus\""),
+            "{bin}: {stderr}"
+        );
+    }
 }

@@ -131,7 +131,10 @@ fn sweep_survives_die_torn_and_garbage_workers() {
     let result = sweep(
         &dir,
         "4",
-        &["--proc-fault", "1:0:die:1,2:0:torn:1,3:0:garbage:1"],
+        &[
+            "--fault-plan",
+            "proc=1:0:die:1,proc=2:0:torn:1,proc=3:0:garbage:1",
+        ],
     );
     assert_identical("die/torn/garbage sweep", &reference, &result);
     let stats = std::fs::read_to_string(dir.join("shards/sweep_stats.json")).expect("sweep stats");
@@ -156,8 +159,8 @@ fn hung_worker_is_stall_killed_and_redispatched() {
         &dir,
         "4",
         &[
-            "--proc-fault",
-            "2:0:hang:1",
+            "--fault-plan",
+            "proc=2:0:hang:1",
             "--tick-ms",
             "10",
             "--stall-ticks",
@@ -183,8 +186,8 @@ fn poison_shard_quarantines_and_report_degrades_to_incomplete() {
         &dir,
         "4",
         &[
-            "--proc-fault",
-            "2:0:die:1,2:1:die:1,2:2:die:1",
+            "--fault-plan",
+            "proc=2:0:die:1,proc=2:1:die:1,proc=2:2:die:1",
             "--max-restarts",
             "2",
         ],
@@ -239,7 +242,12 @@ fn resume_from_degraded_merge_completes_serially() {
     let (out, _, _) = sweep(
         &dir,
         "4",
-        &["--proc-fault", "2:0:die:1,2:1:die:1", "--max-restarts", "1"],
+        &[
+            "--fault-plan",
+            "proc=2:0:die:1,proc=2:1:die:1",
+            "--max-restarts",
+            "1",
+        ],
     );
     assert_eq!(out.status.code(), Some(3), "expected degraded sweep");
     // Serial --resume from the merged journal recomputes exactly the
@@ -335,4 +343,30 @@ fn more_shards_than_figures_leaves_empty_shards_clean() {
         std::fs::read(&journal).expect("serial journal"),
         "journal differs"
     );
+}
+
+#[test]
+fn bad_fault_plan_exits_2_before_any_worker_spawns() {
+    let dir = scratch("bad-plan");
+    let worker = figures(&["fig01", "--fault-plan", "bogus=1"]);
+    let (sweep_out, _, _) = sweep(
+        &dir,
+        "2",
+        &["--max-restarts", "1", "--fault-plan", "bogus=1"],
+    );
+    for (mode, out) in [("figures", worker), ("figures sweep", sweep_out)] {
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{mode}: stderr:\n{stderr}");
+        assert!(
+            stderr.contains("unknown fault-plan key \"bogus\""),
+            "{mode}: {stderr}"
+        );
+    }
+    let pids: Vec<_> = std::fs::read_dir(dir.join("shards"))
+        .into_iter()
+        .flatten()
+        .flatten()
+        .filter(|e| e.file_name().to_string_lossy().ends_with(".pid"))
+        .collect();
+    assert!(pids.is_empty(), "workers spawned: {pids:?}");
 }
