@@ -29,6 +29,8 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
+use sim_support::cli::Cursor;
+
 /// Suites guarded by default: the two hot-loop benches the repo's perf
 /// targets are stated against, the offline OPT profiler, plus the hint
 /// server's loopback mixed-load suite (`hintload` writes it;
@@ -92,6 +94,9 @@ fn render_baseline(entries: &[(String, String, f64)]) -> String {
     out
 }
 
+const USAGE: &str = "usage: bench_check [--bless] [--tolerance PCT] [--results-dir DIR] \
+     [--baseline FILE] [--suites NAME,...]";
+
 struct Args {
     bless: bool,
     tolerance: f64,
@@ -108,26 +113,22 @@ fn parse_args() -> Result<Args, String> {
         baseline: PathBuf::from("results/bench_baselines.json"),
         suites: DEFAULT_SUITES.iter().map(|s| s.to_string()).collect(),
     };
-    let mut it = std::env::args().skip(1);
+    let mut it = Cursor::new(std::env::args().skip(1), USAGE);
     while let Some(a) = it.next() {
-        let mut value = |flag: &str| it.next().ok_or_else(|| format!("{flag} expects a value"));
         match a.as_str() {
             "--bless" => args.bless = true,
-            "--tolerance" => {
-                args.tolerance = value("--tolerance")?
-                    .parse()
-                    .map_err(|e| format!("--tolerance: {e}"))?;
-            }
-            "--results-dir" => args.results_dir = PathBuf::from(value("--results-dir")?),
-            "--baseline" => args.baseline = PathBuf::from(value("--baseline")?),
+            "--tolerance" => args.tolerance = it.parse()?,
+            "--results-dir" => args.results_dir = it.value()?.into(),
+            "--baseline" => args.baseline = it.value()?.into(),
             "--suites" => {
-                args.suites = value("--suites")?
+                args.suites = it
+                    .value()?
                     .split(',')
                     .map(|s| s.trim().to_string())
                     .filter(|s| !s.is_empty())
                     .collect();
             }
-            other => return Err(format!("unknown argument {other}")),
+            _ => return Err(it.unexpected()),
         }
     }
     Ok(args)

@@ -12,54 +12,73 @@
 //! `--threads N` / `SIM_THREADS` workers and reported in the order given.
 
 use std::fs::File;
-use std::process::exit;
 
 use btb_model::BtbConfig;
 use btb_trace::{read_binary_batched, Trace};
+use sim_support::cli::{self, Cursor};
 use sim_support::pool;
 use thermometer::pipeline::{Pipeline, PipelineConfig, POLICY_NAMES};
 use thermometer::{HintTable, PolicyKind, TemperatureConfig};
 use uarch_sim::{FrontendConfig, SimReport};
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(path) = args.first() else {
-        usage("missing trace file")
-    };
-    let policy = flag(&args, "--policy").unwrap_or_else(|| "lru".into());
-    let entries: usize = flag(&args, "--entries").map_or(8192, |v| {
-        v.parse().unwrap_or_else(|_| usage("bad --entries"))
-    });
-    let ways: usize =
-        flag(&args, "--ways").map_or(4, |v| v.parse().unwrap_or_else(|_| usage("bad --ways")));
-    if let Some(threads) = flag(&args, "--threads") {
-        let n: usize = threads.parse().unwrap_or_else(|_| usage("bad --threads"));
-        if n == 0 {
-            usage("--threads must be >= 1");
-        }
-        pool::set_threads(n);
-    }
+/// A parsed `btbsim` command line.
+struct Opts {
+    trace: String,
+    policies: Vec<PolicyKind>,
+    btb: BtbConfig,
+    profile: Option<String>,
+}
 
-    let names: Vec<&str> = policy.split(',').filter(|p| !p.is_empty()).collect();
-    if names.is_empty() {
-        usage("empty --policy list");
+/// Parses the command line; `--threads` takes effect at once.
+fn parse_args() -> Result<Opts, String> {
+    let mut args = Cursor::new(std::env::args().skip(1), usage_text());
+    let (mut trace, mut profile, mut policy) = (None, None, "lru".to_owned());
+    let (mut entries, mut ways) = (8192, 4);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--policy" => policy = args.value()?,
+            "--entries" => entries = args.at_least(1)?,
+            "--ways" => ways = args.at_least(1)?,
+            "--profile" => profile = Some(args.value()?),
+            "--threads" => pool::set_threads(args.at_least(1)?),
+            _ if trace.is_none() && !args.at_flag() => trace = Some(arg),
+            _ => return Err(args.unexpected()),
+        }
     }
-    let policies: Vec<PolicyKind> = names
-        .iter()
+    if entries < ways {
+        return Err(format!("--entries ({entries}) must be >= --ways ({ways})"));
+    }
+    let policies: Vec<PolicyKind> = policy
+        .split(',')
+        .filter(|p| !p.is_empty())
         .map(|name| {
-            PolicyKind::by_name(name).unwrap_or_else(|| {
-                usage(&format!(
+            PolicyKind::by_name(name).ok_or_else(|| {
+                format!(
                     "unknown policy {name} (choose from: {})",
                     POLICY_NAMES.join(", ")
-                ))
+                )
             })
         })
-        .collect();
+        .collect::<Result<_, _>>()?;
+    if policies.is_empty() {
+        return Err("empty --policy list".to_owned());
+    }
+    Ok(Opts {
+        trace: trace.ok_or("missing trace file")?,
+        policies,
+        btb: BtbConfig::new(entries, ways),
+        profile,
+    })
+}
 
-    let trace = load(path);
+fn main() {
+    let opts = parse_args().unwrap_or_else(|e| fail(&e));
+    let policies = &opts.policies;
+
+    let trace = load(&opts.trace);
     let pipeline = Pipeline::new(PipelineConfig {
         frontend: FrontendConfig {
-            btb: BtbConfig::new(entries, ways),
+            btb: opts.btb,
             ..FrontendConfig::table1()
         },
         temperature: TemperatureConfig::paper_default(),
@@ -67,7 +86,7 @@ fn main() {
 
     // Profile once, up front, if any requested policy needs hints.
     let hints: Option<HintTable> = policies.iter().any(PolicyKind::wants_hints).then(|| {
-        let profile_trace = flag(&args, "--profile").map(|p| load(&p));
+        let profile_trace = opts.profile.as_deref().map(load);
         let profile_trace = profile_trace.as_ref().unwrap_or_else(|| {
             eprintln!("note: no --profile given; profiling on the simulated trace itself");
             &trace
@@ -82,7 +101,7 @@ fn main() {
     });
 
     // Scatter the runs, gather reports in the order the policies were given.
-    let reports = pool::par_map(&policies, |_, policy| {
+    let reports = pool::par_map(policies, |_, policy| {
         let hints = hints.as_ref().filter(|_| policy.wants_hints());
         pipeline.run(&trace, policy.clone(), hints)
     });
@@ -95,9 +114,9 @@ fn main() {
 }
 
 fn load(path: &str) -> Trace {
-    let mut file = File::open(path).unwrap_or_else(|e| usage(&format!("cannot open {path}: {e}")));
+    let mut file = File::open(path).unwrap_or_else(|e| fail(&format!("cannot open {path}: {e}")));
     // The batch reader buffers internally; no BufReader needed.
-    read_binary_batched(&mut file).unwrap_or_else(|e| usage(&format!("cannot decode {path}: {e}")))
+    read_binary_batched(&mut file).unwrap_or_else(|e| fail(&format!("cannot decode {path}: {e}")))
 }
 
 fn print_report(r: &SimReport) {
@@ -121,21 +140,15 @@ fn print_report(r: &SimReport) {
     );
 }
 
-fn flag(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1).cloned())
-}
-
-fn usage(error: &str) -> ! {
-    if !error.is_empty() {
-        eprintln!("error: {error}");
-    }
-    eprintln!(
+fn usage_text() -> String {
+    format!(
         "usage: btbsim <trace.btbt> [--policy <name>[,<name>...]] [--entries N] [--ways N] \
          [--profile <trace.btbt>] [--threads N]\n\
          policies: {}",
         POLICY_NAMES.join(", ")
-    );
-    exit(if error.is_empty() { 0 } else { 2 });
+    )
+}
+
+fn fail(error: &str) -> ! {
+    cli::fail(&usage_text(), error)
 }

@@ -1,4 +1,5 @@
-//! Regenerates the paper's figures.
+//! Regenerates the paper's figures, in one process or over a supervised
+//! fleet of worker processes.
 //!
 //! ```text
 //! figures all                  # every figure, prints tables
@@ -11,158 +12,113 @@
 //! figures merge all --shards 4 --dir results/sweep   # recombine only
 //! ```
 //!
+//! `figures --help` lists every figure id (`FIGURE_IDS`) and flag. The
+//! whole command line is parsed before any work: an unknown id, flag or
+//! fault-plan key, or a missing or out-of-range value, exits 2 naming it.
+//!
 //! Scale knobs: `THERMO_TRACE_LEN`, `THERMO_CBP_COUNT`, `THERMO_CBP_LEN`,
 //! `THERMO_IPC1_COUNT`, `THERMO_IPC1_LEN`, `THERMO_APPS` (see `Scale`).
-//! Thread count: `--threads N` or `SIM_THREADS` (default: available
-//! parallelism; 1 = serial). Output is byte-identical at any width; per-cell
-//! wall-time/throughput observability lands in `results/grid_stats.json`
-//! (override with `--grid-stats <path>`).
+//! Threads: `--threads N` or `SIM_THREADS`; output is byte-identical at
+//! any width. Per-cell telemetry lands in `results/grid_stats.json`.
 //!
-//! Fault tolerance (see DESIGN.md §9): every run checkpoints completed
-//! figures into `results/grid_journal.jsonl` (`--journal <path>` to move
-//! it). `--quarantine` isolates panicking cells — they are dropped from
-//! their figure and recorded in `grid_stats.json` instead of aborting the
-//! run; `--max-retries N` grants transiently failing cells N extra
-//! attempts. `--resume` replays journaled figures byte-for-byte and
-//! recomputes only the rest. `--fault-plan <spec>` injects deterministic
-//! faults (see `sim_support::fault`) — the crash-resume CI stage uses it.
+//! Fault tolerance (DESIGN.md §9): completed figures are journaled to
+//! `results/grid_journal.jsonl`; `--resume` replays them byte-for-byte.
+//! `--quarantine` drops panicking cells, `--max-retries N` retries
+//! transient ones, and `--fault-plan` injects deterministic faults.
 //!
-//! Sharded sweeps (DESIGN.md §13): `figures sweep` partitions the figure
-//! list into `--shards N` round-robin shards, runs one supervised worker
-//! process per shard, and merges the shard journals into output
-//! byte-identical to a serial run — stamped `incomplete` (exit 3) when a
-//! poison shard exhausted its restarts. A worker is this same binary with
-//! `--shard i/N --attempt K`. `figures sweep --fault-plan <spec>` checks
-//! the spec before spawning anything and forwards it to every worker,
-//! which arms the `proc=` entry for its own `(shard, attempt)`: a
-//! deterministic process-level fault. `figures merge` recombines existing
-//! shard journals without spawning anything.
+//! Sharded sweeps (DESIGN.md §13): `figures sweep` takes the supervisor's
+//! flags and parses the rest into the `WorkerArgs` template it spawns one
+//! worker per shard from. The shard journals merge into output
+//! byte-identical to a serial run, stamped `incomplete` (exit 3) when a
+//! poison shard exhausted its restarts. `figures merge` only merges.
 
+use std::path::PathBuf;
 use std::time::Instant;
 
-use sim_support::{fault, fsio, pool, FaultPlan};
+use sim_support::cli::{self, Cursor};
+use sim_support::{fault, fsio, pool};
 use thermometer_bench::figures::memo;
 use thermometer_bench::{
-    figure_by_id, grid, journal, merge, sweep, Journal, Scale, ShardSpec, SweepConfig, FIGURE_IDS,
+    args, figure_by_id, grid, journal, merge, sweep, Journal, Scale, SweepConfig, WorkerArgs,
 };
 
+const DEFAULT_JOURNAL: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/../../results/grid_journal.jsonl"
+);
+const DEFAULT_GRID_STATS: &str =
+    concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/grid_stats.json");
+const DEFAULT_SWEEP_DIR: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/sweep");
+
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("sweep") => {
-            args.remove(0);
-            run_sweep_cli(args);
-        }
-        Some("merge") => {
-            args.remove(0);
-            run_merge_cli(args);
-        }
-        _ => run_worker(args),
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    match argv.first().map(String::as_str) {
+        Some("sweep") => run_fleet(argv[1..].to_vec(), false),
+        Some("merge") => run_fleet(argv[1..].to_vec(), true),
+        _ => run_worker(WorkerArgs::parse(&argv).unwrap_or_else(|e| fail(&e))),
     }
 }
 
-/// Shared flag state for the `sweep` and `merge` subcommands.
-struct SweepArgs {
-    ids: Vec<String>,
-    shards: usize,
-    dir: String,
-    markdown: Option<String>,
-    journal_out: String,
-    cfg_mut: Vec<(String, String)>,
-}
-
-fn parse_sweep_args(args: Vec<String>, merge_only: bool) -> SweepArgs {
-    let mut parsed = SweepArgs {
-        ids: Vec::new(),
-        shards: 0,
-        dir: concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/sweep").to_owned(),
-        markdown: None,
-        journal_out: concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../results/grid_journal.jsonl"
-        )
-        .to_owned(),
-        cfg_mut: Vec::new(),
-    };
-    let mut iter = args.into_iter();
-    let take = |iter: &mut std::vec::IntoIter<String>, flag: &str| {
-        iter.next()
-            .unwrap_or_else(|| usage(&format!("missing value after {flag}")))
-    };
-    while let Some(arg) = iter.next() {
+/// Parses `sweep` (or, with `merge_only`, `merge`) arguments into the
+/// sweep, its `--markdown` and its `--journal`. Flags that are not the
+/// supervisor's go to the worker template; `merge` takes ids and the four
+/// output flags only.
+fn parse_sweep_args(
+    argv: Vec<String>,
+    merge_only: bool,
+) -> Result<(SweepConfig, Option<String>, String), String> {
+    let mut args = Cursor::new(argv, args::usage());
+    let mut cfg = SweepConfig::new(WorkerArgs::default(), 0, PathBuf::from(DEFAULT_SWEEP_DIR));
+    let mut markdown = None;
+    let mut journal_out = DEFAULT_JOURNAL.to_owned();
+    let mut forwarded = Vec::new();
+    while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--shards" => {
-                parsed.shards = take(&mut iter, "--shards")
-                    .parse()
-                    .unwrap_or_else(|_| usage("bad --shards"));
-            }
-            "--dir" => parsed.dir = take(&mut iter, "--dir"),
-            "--markdown" => parsed.markdown = Some(take(&mut iter, "--markdown")),
-            "--journal" => parsed.journal_out = take(&mut iter, "--journal"),
-            "--threads" | "--max-retries" | "--fault-plan" | "--max-restarts" | "--tick-ms"
-            | "--stall-ticks" | "--straggler-factor" | "--seed"
-                if !merge_only =>
-            {
-                let value = take(&mut iter, &arg);
-                parsed.cfg_mut.push((arg, value));
-            }
-            "--quarantine" | "--resume" if !merge_only => {
-                parsed.cfg_mut.push((arg, String::new()));
-            }
-            "--help" | "-h" => usage(""),
-            other if other.starts_with("--") => usage(&format!("unknown flag {other}")),
-            other => parsed.ids.push(other.to_owned()),
+            "--shards" => cfg.shards = args.at_least(1)?,
+            "--dir" => cfg.dir = args.value()?.into(),
+            "--markdown" => markdown = Some(args.value()?),
+            "--journal" => journal_out = args.value()?,
+            "--max-restarts" if !merge_only => cfg.max_restarts = args.parse()?,
+            "--tick-ms" if !merge_only => cfg.tick_ms = args.at_least(1)?,
+            "--stall-ticks" if !merge_only => cfg.stall_ticks = args.at_least(1)?,
+            "--straggler-factor" if !merge_only => cfg.straggler_factor = args.at_least(2)?,
+            "--seed" if !merge_only => cfg.seed = args.parse()?,
+            _ if merge_only && args.at_flag() => return Err(args.unexpected()),
+            _ => forwarded.push(arg),
         }
     }
-    if parsed.ids.is_empty() {
-        usage("no figures requested");
+    if cfg.shards == 0 {
+        return Err("sweep/merge need --shards N (>= 1)".to_owned());
     }
-    if parsed.ids.iter().any(|id| id == "all") {
-        parsed.ids = FIGURE_IDS.iter().map(|s| s.to_string()).collect();
+    cfg.worker = if merge_only {
+        WorkerArgs {
+            ids: args::expand_ids(forwarded)?,
+            ..WorkerArgs::default()
+        }
+    } else {
+        WorkerArgs::parse(&forwarded)?
+    };
+    if cfg.worker.shard.is_some() || cfg.worker.attempt != 0 || cfg.worker.grid_stats.is_some() {
+        return Err("figures sweep sets --shard, --attempt and --grid-stats per worker".to_owned());
     }
-    if parsed.shards == 0 {
-        usage("sweep/merge need --shards N (>= 1)");
-    }
-    parsed
+    Ok((cfg, markdown, journal_out))
 }
 
-fn run_sweep_cli(args: Vec<String>) -> ! {
-    let parsed = parse_sweep_args(args, false);
-    let mut cfg = SweepConfig::new(
-        parsed.ids.clone(),
-        parsed.shards,
-        std::path::PathBuf::from(&parsed.dir),
-    );
-    for (flag, value) in &parsed.cfg_mut {
-        let parse_u64 = || -> u64 {
-            value
-                .parse()
-                .unwrap_or_else(|_| usage(&format!("bad {flag}")))
-        };
-        match flag.as_str() {
-            "--threads" => cfg.worker_threads = Some(parse_u64() as usize),
-            "--quarantine" => cfg.quarantine = true,
-            "--max-retries" => cfg.max_retries = parse_u64() as u32,
-            "--fault-plan" => {
-                // Validate up front so a typo fails the sweep, not the fleet.
-                FaultPlan::parse(value).unwrap_or_else(|e| usage(&e));
-                cfg.fault_plan = Some(value.clone());
-            }
-            "--max-restarts" => cfg.max_restarts = parse_u64() as u32,
-            "--tick-ms" => cfg.tick_ms = parse_u64().max(1),
-            "--stall-ticks" => cfg.stall_ticks = parse_u64().max(1),
-            "--straggler-factor" => cfg.straggler_factor = parse_u64().max(2),
-            "--resume" => cfg.resume = true,
-            "--seed" => cfg.seed = parse_u64(),
-            _ => unreachable!("parse_sweep_args vetted the flag list"),
-        }
-    }
+/// `figures sweep`, or with `merge_only` `figures merge`: supervise a
+/// fleet of workers (or only read their journals) and emit the merge.
+fn run_fleet(argv: Vec<String>, merge_only: bool) -> ! {
+    let (cfg, markdown, journal_out) =
+        parse_sweep_args(argv, merge_only).unwrap_or_else(|e| fail(&e));
     let scale = scale_from_env();
+    if merge_only {
+        let outcome = merge::merge_shards(&scale, &cfg.worker.ids, cfg.shards, &cfg.dir);
+        emit_merge_outputs(&outcome, &scale, markdown.as_deref(), &journal_out);
+    }
     eprintln!(
         "sweep: {} figure(s) over {} shard(s) under {}",
-        cfg.ids.len(),
+        cfg.worker.ids.len(),
         cfg.shards,
-        parsed.dir
+        cfg.dir.display()
     );
     let report = sweep::run_sweep(&cfg, &scale).unwrap_or_else(|e| {
         eprintln!("sweep setup failed: {e}");
@@ -183,29 +139,7 @@ fn run_sweep_cli(args: Vec<String>) -> ! {
     if let Err(e) = sweep::write_sweep_stats(&cfg, &report) {
         eprintln!("failed to write sweep_stats.json: {e}");
     }
-    emit_merge_outputs(
-        &report.merge,
-        &scale,
-        parsed.markdown.as_deref(),
-        &parsed.journal_out,
-    );
-}
-
-fn run_merge_cli(args: Vec<String>) -> ! {
-    let parsed = parse_sweep_args(args, true);
-    let scale = scale_from_env();
-    let outcome = merge::merge_shards(
-        &scale,
-        &parsed.ids,
-        parsed.shards,
-        std::path::Path::new(&parsed.dir),
-    );
-    emit_merge_outputs(
-        &outcome,
-        &scale,
-        parsed.markdown.as_deref(),
-        &parsed.journal_out,
-    );
+    emit_merge_outputs(&report.merge, &scale, markdown.as_deref(), &journal_out);
 }
 
 /// Prints the merged display, writes the merged journal and optional
@@ -244,114 +178,43 @@ fn emit_merge_outputs(
     std::process::exit(sweep::INCOMPLETE_EXIT_CODE);
 }
 
-fn run_worker(args: Vec<String>) {
-    let mut ids: Vec<String> = Vec::new();
-    let mut markdown_path: Option<String> = None;
-    let mut grid_stats_path =
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/grid_stats.json").to_owned();
-    let mut journal_path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../results/grid_journal.jsonl"
-    )
-    .to_owned();
-    let mut resume = false;
-    let mut quarantine = false;
-    let mut max_retries: u32 = 0;
-    let mut fault_plan: Option<FaultPlan> = None;
-    let mut shard: Option<ShardSpec> = None;
-    let mut attempt: u32 = 0;
-    let mut iter = args.into_iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--markdown" => {
-                markdown_path = Some(
-                    iter.next()
-                        .unwrap_or_else(|| usage("missing path after --markdown")),
-                );
-            }
-            "--threads" => {
-                let n: usize = iter
-                    .next()
-                    .unwrap_or_else(|| usage("missing count after --threads"))
-                    .parse()
-                    .unwrap_or_else(|_| usage("bad --threads"));
-                if n == 0 {
-                    usage("--threads must be >= 1");
-                }
-                pool::set_threads(n);
-            }
-            "--grid-stats" => {
-                grid_stats_path = iter
-                    .next()
-                    .unwrap_or_else(|| usage("missing path after --grid-stats"));
-            }
-            "--journal" => {
-                journal_path = iter
-                    .next()
-                    .unwrap_or_else(|| usage("missing path after --journal"));
-            }
-            "--resume" => resume = true,
-            "--quarantine" => quarantine = true,
-            "--max-retries" => {
-                max_retries = iter
-                    .next()
-                    .unwrap_or_else(|| usage("missing count after --max-retries"))
-                    .parse()
-                    .unwrap_or_else(|_| usage("bad --max-retries"));
-            }
-            "--fault-plan" => {
-                let spec = iter
-                    .next()
-                    .unwrap_or_else(|| usage("missing spec after --fault-plan"));
-                fault_plan = Some(FaultPlan::parse(&spec).unwrap_or_else(|e| usage(&e)));
-            }
-            "--shard" => {
-                let spec = iter
-                    .next()
-                    .unwrap_or_else(|| usage("missing i/N after --shard"));
-                shard = Some(ShardSpec::parse(&spec).unwrap_or_else(|e| usage(&e)));
-            }
-            "--attempt" => {
-                attempt = iter
-                    .next()
-                    .unwrap_or_else(|| usage("missing index after --attempt"))
-                    .parse()
-                    .unwrap_or_else(|_| usage("bad --attempt"));
-            }
-            "--help" | "-h" => usage(""),
-            other => ids.push(other.to_owned()),
-        }
+fn run_worker(args: WorkerArgs) {
+    if let Some(threads) = args.threads {
+        pool::set_threads(threads);
     }
-    if ids.is_empty() {
-        usage("no figures requested");
-    }
-    if ids.iter().any(|id| id == "all") {
-        ids = FIGURE_IDS.iter().map(|s| s.to_string()).collect();
-    }
+    let journal_path = args
+        .journal
+        .clone()
+        .unwrap_or_else(|| DEFAULT_JOURNAL.into());
+    let grid_stats_path = args
+        .grid_stats
+        .clone()
+        .unwrap_or_else(|| DEFAULT_GRID_STATS.into());
     // Shard filtering happens after `all` expansion so every worker sees
     // the same canonical list. An empty shard (more shards than figures)
     // is legal: the worker journals its header and exits cleanly.
-    if let Some(spec) = shard {
+    let mut ids = args.ids.clone();
+    if let Some(spec) = args.shard {
         ids = thermometer_bench::shard::shard_ids(&ids, spec);
         eprintln!("shard {spec}: {} figure(s)", ids.len());
     }
 
-    if let Some(plan) = fault_plan {
+    if let Some(plan) = args.plan() {
         fault::install(plan);
-        let number = shard.map_or(1, |s| s.number) as u64;
-        let journal = std::path::PathBuf::from(&journal_path);
-        if let Some(armed) = fault::arm(number, attempt, journal) {
+        let number = args.shard.map_or(1, |s| s.number) as u64;
+        if let Some(armed) = fault::arm(number, args.attempt, journal_path.clone()) {
             eprintln!(
-                "process fault armed: {} after {} cell(s) (shard {number}, attempt {attempt})",
+                "process fault armed: {} after {} cell(s) (shard {number}, attempt {})",
                 armed.kind.name(),
-                armed.after_cells
+                armed.after_cells,
+                args.attempt
             );
         }
     }
-    if quarantine {
+    if args.quarantine {
         grid::set_fault_policy(grid::FaultPolicy {
             isolate: true,
-            max_retries,
+            max_retries: args.max_retries,
         });
         // Quarantined cells report through grid_stats.json; the default
         // multi-line panic hook would only drown the run log.
@@ -374,34 +237,27 @@ fn run_worker(args: Vec<String>) {
 
     // Checkpoint journal: resume loads it, everything else starts fresh.
     let fingerprint = journal::run_fingerprint(&scale, &ids);
+    let journal_name = journal_path.display();
     let journal = Journal::new(&journal_path);
-    let replayed = if resume {
-        match journal.load(&fingerprint) {
-            Ok(Some(loaded)) => {
-                eprintln!(
-                    "resume: {} figure(s) replayed from {journal_path}",
-                    loaded.figures.len()
-                );
-                loaded
-            }
-            Ok(None) => {
-                eprintln!("resume: no usable journal at {journal_path}; starting fresh");
-                if let Err(e) = journal.start(&fingerprint) {
-                    eprintln!("cannot start journal {journal_path}: {e}");
-                }
-                journal::Loaded::default()
-            }
-            Err(e) => {
-                eprintln!("cannot read journal {journal_path}: {e}; starting fresh");
-                if let Err(e) = journal.start(&fingerprint) {
-                    eprintln!("cannot start journal {journal_path}: {e}");
-                }
-                journal::Loaded::default()
-            }
-        }
+    let loaded = if args.resume {
+        journal.load(&fingerprint).map_err(|e| {
+            eprintln!("cannot read journal {journal_name}: {e}; starting fresh");
+        })
     } else {
+        Ok(None)
+    };
+    let replayed = if let Ok(Some(loaded)) = loaded {
+        eprintln!(
+            "resume: {} figure(s) replayed from {journal_name}",
+            loaded.figures.len()
+        );
+        loaded
+    } else {
+        if args.resume && loaded.is_ok() {
+            eprintln!("resume: no usable journal at {journal_name}; starting fresh");
+        }
         if let Err(e) = journal.start(&fingerprint) {
-            eprintln!("cannot start journal {journal_path}: {e}");
+            eprintln!("cannot start journal {journal_name}: {e}");
         }
         journal::Loaded::default()
     };
@@ -436,26 +292,19 @@ fn run_worker(args: Vec<String>) {
             continue;
         }
         let start = Instant::now();
-        match figure_by_id(id, &scale) {
-            Some(figs) => {
-                let mut display = String::new();
-                let mut markdown = String::new();
-                for fig in figs {
-                    display.push_str(&format!("{fig}\n"));
-                    markdown.push_str(&fig.to_markdown());
-                }
-                print!("{display}");
-                sections.push(markdown.clone());
-                if let Err(e) = journal.append_figure(id, &display, &markdown) {
-                    eprintln!("journal commit failed for {id}: {e}");
-                }
-                eprintln!("[{id} done in {:.1?}]", start.elapsed());
-            }
-            None => {
-                eprintln!("unknown figure id: {id} (known: {})", FIGURE_IDS.join(", "));
-                std::process::exit(2);
-            }
+        let figs = figure_by_id(id, &scale).expect("WorkerArgs::parse checked every id");
+        let mut display = String::new();
+        let mut markdown = String::new();
+        for fig in figs {
+            display.push_str(&format!("{fig}\n"));
+            markdown.push_str(&fig.to_markdown());
         }
+        print!("{display}");
+        sections.push(markdown.clone());
+        if let Err(e) = journal.append_figure(id, &display, &markdown) {
+            eprintln!("journal commit failed for {id}: {e}");
+        }
+        eprintln!("[{id} done in {:.1?}]", start.elapsed());
     }
     grid::set_cell_hook(None);
 
@@ -481,9 +330,8 @@ fn run_worker(args: Vec<String>) {
             quarantined.len()
         ));
     }
-    let stats_path = std::path::Path::new(&grid_stats_path);
     match grid::write_grid_stats(
-        stats_path,
+        &grid_stats_path,
         threads,
         total_wall_ms,
         &notes,
@@ -491,24 +339,22 @@ fn run_worker(args: Vec<String>) {
         &quarantined,
         memo::stats(&scale),
     ) {
-        Ok(()) => eprintln!("wrote {grid_stats_path}"),
-        Err(e) => eprintln!("failed to write {grid_stats_path}: {e}"),
+        Ok(()) => eprintln!("wrote {}", grid_stats_path.display()),
+        Err(e) => eprintln!("failed to write {}: {e}", grid_stats_path.display()),
     }
 
-    if let Some(path) = markdown_path {
+    if let Some(path) = &args.markdown {
         let mut out = merge::report_prologue(&scale);
         for section in &sections {
             out.push_str(section);
         }
         // Atomic + bounded retry: a kill can truncate neither report, and
         // injected transient I/O faults are retried rather than fatal.
-        fsio::write_atomic_retry(std::path::Path::new(&path), out.as_bytes(), 3).unwrap_or_else(
-            |e| {
-                eprintln!("failed to write {path}: {e}");
-                std::process::exit(1);
-            },
-        );
-        eprintln!("wrote {path}");
+        fsio::write_atomic_retry(path, out.as_bytes(), 3).unwrap_or_else(|e| {
+            eprintln!("failed to write {}: {e}", path.display());
+            std::process::exit(1);
+        });
+        eprintln!("wrote {}", path.display());
     }
 }
 
@@ -520,20 +366,6 @@ fn scale_from_env() -> Scale {
     })
 }
 
-fn usage(error: &str) -> ! {
-    if !error.is_empty() {
-        eprintln!("error: {error}");
-    }
-    eprintln!(
-        "usage: figures <fig01|...|fig21|all>... [--markdown <path>] [--threads N] \
-         [--grid-stats <path>] [--journal <path>] [--resume] [--quarantine] \
-         [--max-retries N] [--fault-plan <spec>] [--shard i/N] [--attempt K]\n\
-         \x20      figures sweep <ids|all>... --shards N [--dir <path>] [--markdown <path>] \
-         [--journal <path>] [--threads N] [--quarantine] [--max-retries N] \
-         [--fault-plan <spec>] [--max-restarts N] [--tick-ms MS] \
-         [--stall-ticks N] [--straggler-factor N] [--resume] [--seed N]\n\
-         \x20      figures merge <ids|all>... --shards N [--dir <path>] [--markdown <path>] \
-         [--journal <path>]"
-    );
-    std::process::exit(if error.is_empty() { 0 } else { 2 });
+fn fail(error: &str) -> ! {
+    cli::fail(&args::usage(), error)
 }

@@ -10,37 +10,39 @@
 
 use std::fs::File;
 use std::io::BufWriter;
-use std::process::exit;
 
 use btb_trace::{read_binary_batched, write_binary, BranchKind, TraceStats};
 use btb_workloads::{cbp5_suite, ipc1_suite, AppSpec, InputConfig, SuiteParams};
+use sim_support::cli::{self, Cursor};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("list") => list(),
-        Some("app") => app(&args[1..]),
-        Some("suite") => suite(&args[1..]),
-        Some("info") => info(&args[1..]),
-        _ => usage("missing or unknown subcommand"),
+    let mut args = Cursor::new(std::env::args().skip(1), USAGE);
+    let result = match args.next().as_deref() {
+        Some("list") => no_more(&mut args).map(|()| list()),
+        Some("app") => app(&mut args),
+        Some("suite") => suite(&mut args),
+        Some("info") => info(&mut args),
+        _ => Err("missing or unknown subcommand".to_owned()),
+    };
+    if let Err(e) = result {
+        fail(&e);
     }
 }
 
-fn usage(error: &str) -> ! {
-    if !error.is_empty() {
-        eprintln!("error: {error}");
-    }
-    eprintln!(
-        "usage:\n  tracegen list\n  tracegen app <name> [--input N] [--records N] --out <file>\n  \
-         tracegen suite <cbp5|ipc1> [--count N] [--records N] --dir <dir>\n  tracegen info <file>"
-    );
-    exit(if error.is_empty() { 0 } else { 2 });
+const USAGE: &str =
+    "usage:\n  tracegen list\n  tracegen app <name> [--input N] [--records N] --out <file>\n  \
+     tracegen suite <cbp5|ipc1> [--count N] [--records N] --dir <dir>\n  tracegen info <file>";
+
+fn fail(error: &str) -> ! {
+    cli::fail(USAGE, error)
 }
 
-fn flag(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1).cloned())
+/// Rejects any argument left after a subcommand's operands.
+fn no_more(args: &mut Cursor) -> Result<(), String> {
+    match args.next() {
+        Some(_) => Err(args.unexpected()),
+        None => Ok(()),
+    }
 }
 
 fn list() {
@@ -57,67 +59,72 @@ fn list() {
     }
 }
 
-fn app(args: &[String]) {
-    let Some(name) = args.first() else {
-        usage("app: missing workload name")
-    };
-    let Some(spec) = AppSpec::by_name(name) else {
-        usage(&format!("unknown workload {name} (see `tracegen list`)"))
-    };
-    let input: u32 =
-        flag(args, "--input").map_or(0, |v| v.parse().unwrap_or_else(|_| usage("bad --input")));
-    let records: usize = flag(args, "--records").map_or(2_000_000, |v| {
-        v.parse().unwrap_or_else(|_| usage("bad --records"))
-    });
-    let Some(out) = flag(args, "--out") else {
-        usage("app: missing --out")
-    };
+fn app(args: &mut Cursor) -> Result<(), String> {
+    let (mut name, mut input, mut records, mut out) = (None, 0u32, 2_000_000usize, None);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--input" => input = args.parse()?,
+            "--records" => records = args.parse()?,
+            "--out" => out = Some(args.value()?),
+            _ if name.is_none() && !args.at_flag() => name = Some(arg),
+            _ => return Err(args.unexpected()),
+        }
+    }
+    let name = name.ok_or("app: missing workload name")?;
+    let spec =
+        AppSpec::by_name(&name).ok_or(format!("unknown workload {name} (see `tracegen list`)"))?;
+    let out = out.ok_or("app: missing --out")?;
 
     eprintln!("generating {name} input #{input}, {records} records ...");
     let trace = spec.generate(InputConfig::input(input), records);
-    let file = File::create(&out).unwrap_or_else(|e| usage(&format!("cannot create {out}: {e}")));
+    let file = File::create(&out).unwrap_or_else(|e| fail(&format!("cannot create {out}: {e}")));
     let mut writer = BufWriter::new(file);
-    write_binary(&mut writer, &trace).unwrap_or_else(|e| usage(&format!("write failed: {e}")));
+    write_binary(&mut writer, &trace).unwrap_or_else(|e| fail(&format!("write failed: {e}")));
     eprintln!("wrote {out}");
+    Ok(())
 }
 
-fn suite(args: &[String]) {
-    let Some(kind) = args.first().map(String::as_str) else {
-        usage("suite: missing kind")
-    };
-    let count: usize =
-        flag(args, "--count").map_or(16, |v| v.parse().unwrap_or_else(|_| usage("bad --count")));
-    let records: usize = flag(args, "--records").map_or(200_000, |v| {
-        v.parse().unwrap_or_else(|_| usage("bad --records"))
-    });
-    let Some(dir) = flag(args, "--dir") else {
-        usage("suite: missing --dir")
-    };
-    std::fs::create_dir_all(&dir).unwrap_or_else(|e| usage(&format!("cannot create {dir}: {e}")));
+fn suite(args: &mut Cursor) -> Result<(), String> {
+    let (mut kind, mut count, mut records, mut dir) = (None, 16usize, 200_000usize, None);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--count" => count = args.parse()?,
+            "--records" => records = args.parse()?,
+            "--dir" => dir = Some(args.value()?),
+            _ if kind.is_none() && !args.at_flag() => kind = Some(arg),
+            _ => return Err(args.unexpected()),
+        }
+    }
+    let kind = kind.ok_or("suite: missing kind")?;
+    let dir = dir.ok_or("suite: missing --dir")?;
+    std::fs::create_dir_all(&dir).unwrap_or_else(|e| fail(&format!("cannot create {dir}: {e}")));
 
-    let traces = match kind {
+    let traces = match kind.as_str() {
         "cbp5" => cbp5_suite(SuiteParams::new(count, records)),
         "ipc1" => ipc1_suite(SuiteParams::new(count, records)),
-        other => usage(&format!("unknown suite {other} (cbp5|ipc1)")),
+        other => return Err(format!("unknown suite {other} (cbp5|ipc1)")),
     };
     for trace in &traces {
         let path = format!("{dir}/{}.btbt", trace.name().replace('#', "_"));
         let file =
-            File::create(&path).unwrap_or_else(|e| usage(&format!("cannot create {path}: {e}")));
+            File::create(&path).unwrap_or_else(|e| fail(&format!("cannot create {path}: {e}")));
         let mut writer = BufWriter::new(file);
-        write_binary(&mut writer, trace).unwrap_or_else(|e| usage(&format!("write failed: {e}")));
+        write_binary(&mut writer, trace).unwrap_or_else(|e| fail(&format!("write failed: {e}")));
         eprintln!("wrote {path}");
     }
+    Ok(())
 }
 
-fn info(args: &[String]) {
-    let Some(path) = args.first() else {
-        usage("info: missing file")
-    };
-    let mut file = File::open(path).unwrap_or_else(|e| usage(&format!("cannot open {path}: {e}")));
+fn info(args: &mut Cursor) -> Result<(), String> {
+    let path = args.next().ok_or("info: missing file")?;
+    if args.at_flag() {
+        return Err(args.unexpected());
+    }
+    no_more(args)?;
+    let mut file = File::open(&path).unwrap_or_else(|e| fail(&format!("cannot open {path}: {e}")));
     // The batch reader buffers internally; no BufReader needed.
     let trace = read_binary_batched(&mut file)
-        .unwrap_or_else(|e| usage(&format!("cannot decode {path}: {e}")));
+        .unwrap_or_else(|e| fail(&format!("cannot decode {path}: {e}")));
     let stats = TraceStats::collect(&trace);
     println!("trace          {}", trace.name());
     println!("records        {}", trace.len());
@@ -128,4 +135,5 @@ fn info(args: &[String]) {
     for kind in BranchKind::ALL {
         println!("  {kind:6} {:6.2}%", stats.kind_fraction(kind) * 100.0);
     }
+    Ok(())
 }

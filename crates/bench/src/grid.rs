@@ -49,7 +49,7 @@ use std::path::Path;
 use std::sync::Mutex; // simlint: allow(D03) -- guards the telemetry registry, drained in canonical cell order
 use std::time::Instant;
 
-use sim_support::fault::{self, FaultClass, SimError};
+use sim_support::fault::{self, fnv1a, FaultClass, SimError};
 use sim_support::{fsio, pool, SimRng};
 
 use crate::figures::memo;
@@ -473,15 +473,6 @@ pub fn write_grid_stats(
     out.push_str("  ]\n}\n");
     // Atomic: a run killed mid-write must never leave a truncated stats file.
     fsio::write_atomic(path, out.as_bytes())
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 #[cfg(test)]

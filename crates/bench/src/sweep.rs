@@ -41,63 +41,52 @@ use sim_support::SimRng;
 
 use crate::merge::{self, MergeOutcome};
 use crate::shard::{shard_ids, ShardSpec};
-use crate::{journal, Scale};
+use crate::{journal, Scale, WorkerArgs};
 
 /// Exit code of `figures sweep` / `figures merge` when the merged report
 /// is incomplete (some figures quarantined). Distinct from usage errors
 /// (2) and the injected-crash code (86).
 pub const INCOMPLETE_EXIT_CODE: i32 = 3;
 
-/// Everything a sweep needs; fields mirror the `figures sweep` flags.
+/// Everything a sweep needs: the worker template plus the supervisor's
+/// own knobs, which mirror the `figures sweep` flags.
 pub struct SweepConfig {
-    /// Canonical figure ids (already `all`-expanded), full list.
-    pub ids: Vec<String>,
+    /// The command line every worker is spawned from: the full canonical
+    /// id list and the flags forwarded to each worker (`--threads`,
+    /// `--quarantine`, `--max-retries`, `--fault-plan`, `--resume`). The
+    /// supervisor sets each worker's shard, attempt, journal and stats
+    /// paths itself.
+    pub worker: WorkerArgs,
     /// Number of worker shards (`>= 1`).
     pub shards: usize,
     /// Directory for shard journals, stats, logs, and pid files.
     pub dir: PathBuf,
-    /// `--threads` forwarded to each worker (`None`: worker default).
-    pub worker_threads: Option<usize>,
-    /// Forward `--quarantine` to workers.
-    pub quarantine: bool,
-    /// Forward `--max-retries` to workers (with `--quarantine`).
-    pub max_retries: u32,
-    /// A `--fault-plan` spec (`sim_support::FaultPlan` grammar) forwarded
-    /// to every worker; each worker arms only the `proc=` entry for its
-    /// own `(shard, attempt)`.
-    pub fault_plan: Option<String>,
     /// Restarts granted per shard beyond the first attempt.
     pub max_restarts: u32,
-    /// Supervisor tick length in milliseconds.
+    /// Supervisor tick length in milliseconds (`>= 1`).
     pub tick_ms: u64,
-    /// Ticks without journal progress before a worker counts as stalled.
+    /// Ticks without journal progress before a worker counts as stalled
+    /// (`>= 1`).
     pub stall_ticks: u64,
     /// A running shard is a straggler once half the fleet is done and its
-    /// attempt has run `straggler_factor`× the slowest finisher.
+    /// attempt has run `straggler_factor`× the slowest finisher (`>= 2`).
     pub straggler_factor: u64,
-    /// First attempts resume from existing shard journals (sweep resume).
-    pub resume: bool,
     /// Seed for restart-backoff jitter.
     pub seed: u64,
 }
 
 impl SweepConfig {
-    /// A sweep over `ids` with `shards` workers under `dir`, with the
+    /// A sweep of `worker` over `shards` workers under `dir`, with the
     /// documented defaults for the supervision knobs.
-    pub fn new(ids: Vec<String>, shards: usize, dir: PathBuf) -> Self {
+    pub fn new(worker: WorkerArgs, shards: usize, dir: PathBuf) -> Self {
         SweepConfig {
-            ids,
+            worker,
             shards,
             dir,
-            worker_threads: None,
-            quarantine: false,
-            max_retries: 0,
-            fault_plan: None,
             max_restarts: 2,
             tick_ms: 25,
             stall_ticks: 400,
             straggler_factor: 8,
-            resume: false,
             seed: 0,
         }
     }
@@ -204,34 +193,27 @@ pub fn run_sweep(cfg: &SweepConfig, scale: &Scale) -> io::Result<SweepReport> {
         let mut all_settled = true;
         for idx in 0..cfg.shards {
             let number = idx + 1;
-            match &mut states[idx] {
-                State::Done { .. } | State::Quarantined => {}
+            // The failure, if any, that ends this shard's current attempt.
+            let failure = match &mut states[idx] {
+                State::Done { .. } | State::Quarantined => None,
                 State::Backoff { resume_at_tick } => {
                     all_settled = false;
-                    if tick >= *resume_at_tick {
-                        let attempt = attempts[idx];
-                        match spawn_worker(cfg, number, attempt) {
+                    if tick < *resume_at_tick {
+                        None
+                    } else {
+                        match spawn_worker(cfg, number, attempts[idx]) {
                             Ok(child) => {
                                 states[idx] = State::Running {
                                     child,
                                     started_tick: tick,
                                     watermark: 0,
                                     idle_ticks: 0,
-                                }
+                                };
+                                None
                             }
-                            Err(e) => {
-                                // Spawning our own binary failed: treat as
-                                // an attempt failure, not a sweep abort.
-                                fail_attempt(
-                                    cfg,
-                                    idx,
-                                    &mut states,
-                                    &mut attempts,
-                                    &mut failures,
-                                    tick,
-                                    format!("spawn failed: {e}"),
-                                );
-                            }
+                            // Spawning our own binary failed: treat as an
+                            // attempt failure, not a sweep abort.
+                            Err(e) => Some(format!("spawn failed: {e}")),
                         }
                     }
                 }
@@ -256,78 +238,62 @@ pub fn run_sweep(cfg: &SweepConfig, scale: &Scale) -> io::Result<SweepReport> {
                     }
 
                     match child.try_wait()? {
-                        Some(status) => {
-                            let elapsed = tick - *started_tick;
-                            if status.success() {
-                                // Exit 0 is a claim, not proof: verify the
-                                // journal actually covers the shard.
-                                match verify_shard(cfg, scale, number) {
-                                    Ok(()) => {
-                                        states[idx] = State::Done {
-                                            elapsed_ticks: elapsed,
-                                        }
-                                    }
-                                    Err(reason) => fail_attempt(
-                                        cfg,
-                                        idx,
-                                        &mut states,
-                                        &mut attempts,
-                                        &mut failures,
-                                        tick,
-                                        format!("exited 0 but {reason}"),
-                                    ),
+                        // Exit 0 is a claim, not proof: verify the journal
+                        // actually covers the shard.
+                        Some(status) if status.success() => {
+                            match verify_shard(cfg, scale, number) {
+                                Ok(()) => {
+                                    states[idx] = State::Done {
+                                        elapsed_ticks: tick - *started_tick,
+                                    };
+                                    None
                                 }
-                            } else {
-                                let reason = match status.code() {
-                                    Some(code) => format!("exited with code {code}"),
-                                    None => "killed by a signal".to_owned(),
-                                };
-                                fail_attempt(
-                                    cfg,
-                                    idx,
-                                    &mut states,
-                                    &mut attempts,
-                                    &mut failures,
-                                    tick,
-                                    reason,
-                                );
+                                Err(reason) => Some(format!("exited 0 but {reason}")),
                             }
                         }
+                        Some(status) => Some(match status.code() {
+                            Some(code) => format!("exited with code {code}"),
+                            None => "killed by a signal".to_owned(),
+                        }),
                         None => {
-                            let stalled = *idle_ticks >= cfg.stall_ticks;
                             let straggling = half_done
                                 && slowest_done > 0
                                 && tick - *started_tick > cfg.straggler_factor * slowest_done
                                 && *idle_ticks >= cfg.stall_ticks / 2;
-                            if stalled || straggling {
-                                let reason = if stalled {
-                                    format!(
-                                        "stalled: no journal progress for {} tick(s)",
-                                        *idle_ticks
-                                    )
-                                } else {
-                                    format!(
-                                        "straggler: {}x slower than the slowest finished shard",
-                                        cfg.straggler_factor
-                                    )
-                                };
+                            let reason = if *idle_ticks >= cfg.stall_ticks {
+                                Some(format!(
+                                    "stalled: no journal progress for {} tick(s)",
+                                    *idle_ticks
+                                ))
+                            } else if straggling {
+                                Some(format!(
+                                    "straggler: {}x slower than the slowest finished shard",
+                                    cfg.straggler_factor
+                                ))
+                            } else {
+                                None
+                            };
+                            if reason.is_some() {
                                 // SIGKILL; the fsync'd journal is the only
                                 // state the restart needs.
                                 let _ = child.kill();
                                 let _ = child.wait();
-                                fail_attempt(
-                                    cfg,
-                                    idx,
-                                    &mut states,
-                                    &mut attempts,
-                                    &mut failures,
-                                    tick,
-                                    reason,
-                                );
                             }
+                            reason
                         }
                     }
                 }
+            };
+            if let Some(reason) = failure {
+                fail_attempt(
+                    cfg,
+                    idx,
+                    &mut states,
+                    &mut attempts,
+                    &mut failures,
+                    tick,
+                    reason,
+                );
             }
         }
         // Operator telemetry: stamp newly settled shards with wall-clock.
@@ -345,7 +311,7 @@ pub fn run_sweep(cfg: &SweepConfig, scale: &Scale) -> io::Result<SweepReport> {
         tick += 1;
     }
 
-    let mut merge = merge::merge_shards(scale, &cfg.ids, cfg.shards, &cfg.dir);
+    let mut merge = merge::merge_shards(scale, &cfg.worker.ids, cfg.shards, &cfg.dir);
     let shards: Vec<ShardReport> = states
         .iter()
         .enumerate()
@@ -420,7 +386,7 @@ fn verify_shard(cfg: &SweepConfig, scale: &Scale, number: usize) -> Result<(), S
         number,
         count: cfg.shards,
     };
-    let sub = shard_ids(&cfg.ids, spec);
+    let sub = shard_ids(&cfg.worker.ids, spec);
     let fingerprint = journal::run_fingerprint(scale, &sub);
     let scan =
         merge::scan_shard_journal(&merge::shard_journal_path(&cfg.dir, number), &fingerprint)
@@ -441,37 +407,25 @@ fn verify_shard(cfg: &SweepConfig, scale: &Scale, number: usize) -> Result<(), S
     }
 }
 
-/// Spawns one worker: the current `figures` binary re-invoked with
-/// `--shard i/N`, its own journal/stats paths, and captured stdio. The
-/// worker's pid lands in `shard-<i>.pid` so external tooling (the kill -9
-/// CI stage) can target it.
+/// Spawns one worker: the current `figures` binary re-invoked from the
+/// sweep's [`WorkerArgs`] template with `--shard i/N`, its own
+/// journal/stats paths, and captured stdio. The worker's pid lands in
+/// `shard-<i>.pid` so external tooling (the kill -9 CI stage) can target it.
 fn spawn_worker(cfg: &SweepConfig, number: usize, attempt: u32) -> io::Result<Child> {
-    let exe = std::env::current_exe()?;
-    let mut cmd = Command::new(exe);
-    cmd.args(&cfg.ids)
-        .arg("--shard")
-        .arg(format!("{number}/{}", cfg.shards))
-        .arg("--journal")
-        .arg(merge::shard_journal_path(&cfg.dir, number))
-        .arg("--grid-stats")
-        .arg(merge::shard_stats_path(&cfg.dir, number))
-        .arg("--attempt")
-        .arg(attempt.to_string());
-    // Restarts always resume: committed figures replay from the journal.
-    if attempt > 0 || cfg.resume {
-        cmd.arg("--resume");
-    }
-    if let Some(threads) = cfg.worker_threads {
-        cmd.arg("--threads").arg(threads.to_string());
-    }
-    if cfg.quarantine {
-        cmd.arg("--quarantine")
-            .arg("--max-retries")
-            .arg(cfg.max_retries.to_string());
-    }
-    if let Some(spec) = &cfg.fault_plan {
-        cmd.arg("--fault-plan").arg(spec);
-    }
+    let worker = WorkerArgs {
+        shard: Some(ShardSpec {
+            number,
+            count: cfg.shards,
+        }),
+        attempt,
+        journal: Some(merge::shard_journal_path(&cfg.dir, number)),
+        grid_stats: Some(merge::shard_stats_path(&cfg.dir, number)),
+        // Restarts always resume: committed figures replay from the journal.
+        resume: attempt > 0 || cfg.worker.resume,
+        ..cfg.worker.clone()
+    };
+    let mut cmd = Command::new(std::env::current_exe()?);
+    cmd.args(worker.to_argv());
     let out = std::fs::File::create(
         cfg.dir
             .join(format!("shard-{number}.attempt-{attempt}.out")),

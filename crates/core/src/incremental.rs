@@ -116,11 +116,6 @@ impl IncrementalProfiler {
     pub fn profile(&self) -> &OptProfile {
         &self.profile
     }
-
-    /// The BTB geometry every batch is measured against.
-    pub fn btb_config(&self) -> BtbConfig {
-        self.btb
-    }
 }
 
 #[cfg(test)]

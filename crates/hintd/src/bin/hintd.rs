@@ -1,19 +1,14 @@
-//! `hintd` — the hint server daemon.
-//!
-//! ```text
-//! hintd --data-dir DIR [--host 127.0.0.1] [--port 0] [--addr-file PATH]
-//!       [--shards N] [--workers N] [--watermark N] [--drain-per-health N]
-//!       [--read-timeout-ms N] [--idle-ticks N]
-//!       [--btb-entries N] [--btb-ways N] [--fault-plan SPEC]
-//! ```
+//! `hintd` — the hint server daemon. `hintd --help` lists the flags; a
+//! bad flag or value exits 2 before the server binds.
 //!
 //! Binds (port 0 = ephemeral), prints `hintd listening on ADDR`, writes
 //! the address to `--addr-file` (atomically, so a watcher never reads a
 //! half-written address), then serves until killed. `--fault-plan`
-//! installs a [`sim_support::FaultPlan`]; its `exit-after=N` entry makes
-//! the process exit with code 86 after the N-th journaled batch — the
-//! crash harness's scalpel. Restarting with the same `--data-dir` replays
-//! the journals before accepting traffic.
+//! installs a [`sim_support::FaultPlan`] over the keys hintd has sites
+//! for, `io` and `exit-after`; its `exit-after=N` entry makes the process
+//! exit with code 86 after the N-th journaled batch — the crash harness's
+//! scalpel. Restarting with the same `--data-dir` replays the journals
+//! before accepting traffic.
 
 use std::io::Write;
 use std::path::PathBuf;
@@ -21,21 +16,23 @@ use std::process::ExitCode;
 
 use btb_model::BtbConfig;
 use hintd::{HintServer, ServerConfig, StoreConfig};
+use sim_support::cli::{self, Cursor};
 use sim_support::fsio;
 use sim_support::FaultPlan;
 
-fn usage(msg: &str) -> ! {
-    eprintln!("hintd: {msg}");
-    eprintln!(
-        "usage: hintd --data-dir DIR [--host H] [--port P] [--addr-file PATH] \
-         [--shards N] [--workers N] [--watermark N] [--drain-per-health N] \
-         [--read-timeout-ms N] [--idle-ticks N] [--btb-entries N] [--btb-ways N] \
-         [--fault-plan SPEC]"
-    );
-    std::process::exit(2);
-}
+const USAGE: &str = "usage: hintd --data-dir DIR [--host H] [--port P] [--addr-file PATH] \
+     [--shards N] [--workers N] [--watermark N] [--drain-per-health N] \
+     [--read-timeout-ms N] [--idle-ticks N] [--btb-entries N] [--btb-ways N] \
+     [--fault-plan SPEC]";
 
-fn main() -> ExitCode {
+/// The `--fault-plan` keys hintd has fault sites for: journal writes
+/// (`fsio::append_line_durable`) and accepted batches (`exit-after`).
+const FAULT_KEYS: [&str; 2] = ["io", "exit-after"];
+
+/// Parses the command line into the server configuration and its
+/// `--addr-file`.
+fn parse_args() -> Result<(ServerConfig, Option<PathBuf>), String> {
+    let mut args = Cursor::new(std::env::args().skip(1), USAGE);
     let mut host = "127.0.0.1".to_owned();
     let mut port = 0u16;
     let mut addr_file: Option<PathBuf> = None;
@@ -44,46 +41,42 @@ fn main() -> ExitCode {
     let mut server = ServerConfig::default();
     let mut btb_entries = store.btb.entries();
     let mut btb_ways = store.btb.ways();
-
-    let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        let mut value = |flag: &str| {
-            args.next()
-                .unwrap_or_else(|| usage(&format!("missing value after {flag}")))
-        };
         match arg.as_str() {
-            "--host" => host = value("--host"),
-            "--port" => port = parse(&value("--port"), "--port"),
-            "--addr-file" => addr_file = Some(PathBuf::from(value("--addr-file"))),
-            "--data-dir" => data_dir = Some(PathBuf::from(value("--data-dir"))),
-            "--shards" => store.shards = parse(&value("--shards"), "--shards"),
-            "--workers" => server.workers = parse(&value("--workers"), "--workers"),
-            "--watermark" => store.watermark = parse(&value("--watermark"), "--watermark"),
-            "--drain-per-health" => {
-                store.drain_per_health = parse(&value("--drain-per-health"), "--drain-per-health")
-            }
-            "--read-timeout-ms" => {
-                server.read_timeout_ms = parse(&value("--read-timeout-ms"), "--read-timeout-ms")
-            }
-            "--idle-ticks" => server.idle_ticks = parse(&value("--idle-ticks"), "--idle-ticks"),
-            "--btb-entries" => btb_entries = parse(&value("--btb-entries"), "--btb-entries"),
-            "--btb-ways" => btb_ways = parse(&value("--btb-ways"), "--btb-ways"),
+            "--host" => host = args.value()?,
+            "--port" => port = args.parse()?,
+            "--addr-file" => addr_file = Some(args.value()?.into()),
+            "--data-dir" => data_dir = Some(args.value()?.into()),
+            "--shards" => store.shards = args.at_least(1)?,
+            "--workers" => server.workers = args.parse()?,
+            "--watermark" => store.watermark = args.parse()?,
+            "--drain-per-health" => store.drain_per_health = args.parse()?,
+            "--read-timeout-ms" => server.read_timeout_ms = args.parse()?,
+            "--idle-ticks" => server.idle_ticks = args.parse()?,
+            "--btb-entries" => btb_entries = args.at_least(1)?,
+            "--btb-ways" => btb_ways = args.at_least(1)?,
             "--fault-plan" => {
-                let spec = value("--fault-plan");
-                let plan = FaultPlan::parse(&spec).unwrap_or_else(|err| usage(&err));
+                let plan = FaultPlan::parse_keys(&args.value()?, &FAULT_KEYS)?;
                 sim_support::fault::install(plan);
             }
-            other => usage(&format!("unknown flag {other:?}")),
+            _ => return Err(args.unexpected()),
         }
     }
-
-    let Some(data_dir) = data_dir else {
-        usage("--data-dir is required (journals live there)");
-    };
+    if btb_entries < btb_ways {
+        return Err(format!(
+            "--btb-entries ({btb_entries}) must be >= --btb-ways ({btb_ways})"
+        ));
+    }
+    let data_dir = data_dir.ok_or("--data-dir is required (journals live there)")?;
     store.journal_dir = Some(data_dir);
     store.btb = BtbConfig::new(btb_entries, btb_ways);
     server.store = store;
     server.addr = format!("{host}:{port}");
+    Ok((server, addr_file))
+}
+
+fn main() -> ExitCode {
+    let (server, addr_file) = parse_args().unwrap_or_else(|e| cli::fail(USAGE, &e));
 
     let running = match HintServer::start(server) {
         Ok(running) => running,
@@ -103,9 +96,4 @@ fn main() -> ExitCode {
     }
     running.join();
     ExitCode::SUCCESS
-}
-
-fn parse<T: std::str::FromStr>(s: &str, flag: &str) -> T {
-    s.parse()
-        .unwrap_or_else(|_| usage(&format!("bad value {s:?} for {flag}")))
 }

@@ -1,11 +1,5 @@
-//! `hintload` — the hintd load generator and table dumper.
-//!
-//! ```text
-//! hintload (--addr HOST:PORT | --addr-file PATH)
-//!          [--apps N] [--ops N] [--records N] [--zipf S] [--burst N]
-//!          [--ingest-pct P] [--seed N] [--retries N] [--fault-plan SPEC]
-//!          [--out DIR] [--dump-tables PATH] [--dump-only]
-//! ```
+//! `hintload` — the hintd load generator and table dumper. `hintload
+//! --help` lists the flags; a bad flag or value exits 2 before any load.
 //!
 //! Drives a Zipf-over-apps bursty mix of ingests, queries and periodic
 //! health pings through the retrying [`hintd::HintClient`], measures
@@ -14,9 +8,9 @@
 //! `results/bench_hintd.json` (`BENCH_ITERS` / `BENCH_WARMUP` control the
 //! repetition; medians and MAD come from the harness).
 //!
-//! `--fault-plan` takes a [`sim_support::FaultPlan`] whose `net=` entries
-//! are injected at the client's frame boundary — the loopback way to watch
-//! retry/backoff converge.
+//! `--fault-plan` takes a [`sim_support::FaultPlan`] of `net=` entries
+//! only (any other key exits 2), injected at the client's frame boundary —
+//! the loopback way to watch retry/backoff converge.
 //! `--dump-tables` drains the server (health pings until the backlog hits
 //! zero) and writes every app's canonical table bytes, hex-encoded and
 //! sorted by app, to a file: the crash-recovery harness compares these
@@ -31,6 +25,7 @@ use btb_trace::Trace;
 use btb_workloads::zipf::Zipf;
 use btb_workloads::{AppSpec, InputConfig};
 use hintd::{HintClient, RetryPolicy};
+use sim_support::cli::{self, Cursor};
 use sim_support::{BenchHarness, FaultPlan, SimRng};
 
 struct Opts {
@@ -71,57 +66,43 @@ impl Default for Opts {
     }
 }
 
-fn usage(msg: &str) -> ! {
-    eprintln!("hintload: {msg}");
-    eprintln!(
-        "usage: hintload (--addr HOST:PORT | --addr-file PATH) [--apps N] [--ops N] \
-         [--records N] [--zipf S] [--burst N] [--ingest-pct P] [--seed N] [--retries N] \
-         [--fault-plan SPEC] [--out DIR] [--dump-tables PATH] [--dump-only]"
-    );
-    std::process::exit(2);
-}
+const USAGE: &str = "usage: hintload (--addr HOST:PORT | --addr-file PATH) [--apps N] [--ops N] \
+     [--records N] [--zipf S] [--burst N] [--ingest-pct P] [--seed N] [--retries N] \
+     [--fault-plan SPEC] [--out DIR] [--dump-tables PATH] [--dump-only]";
 
-fn parse_args() -> Opts {
+/// The one `--fault-plan` key hintload has sites for: it hands the plan to
+/// its [`HintClient`], which injures frames, and installs nothing.
+const FAULT_KEYS: [&str; 1] = ["net"];
+
+fn parse_args() -> Result<Opts, String> {
+    let mut args = Cursor::new(std::env::args().skip(1), USAGE);
     let mut opts = Opts::default();
-    let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        let mut value = |flag: &str| {
-            args.next()
-                .unwrap_or_else(|| usage(&format!("missing value after {flag}")))
-        };
         match arg.as_str() {
-            "--addr" => opts.addr = Some(value("--addr")),
-            "--addr-file" => opts.addr_file = Some(PathBuf::from(value("--addr-file"))),
-            "--apps" => opts.apps = parse(&value("--apps"), "--apps"),
-            "--ops" => opts.ops = parse(&value("--ops"), "--ops"),
-            "--records" => opts.records = parse(&value("--records"), "--records"),
-            "--zipf" => opts.zipf = parse(&value("--zipf"), "--zipf"),
-            "--burst" => opts.burst = parse(&value("--burst"), "--burst"),
-            "--ingest-pct" => opts.ingest_pct = parse(&value("--ingest-pct"), "--ingest-pct"),
-            "--seed" => opts.seed = parse(&value("--seed"), "--seed"),
-            "--retries" => opts.retries = parse(&value("--retries"), "--retries"),
-            "--fault-plan" => {
-                opts.fault_plan =
-                    FaultPlan::parse(&value("--fault-plan")).unwrap_or_else(|err| usage(&err))
-            }
-            "--out" => opts.out = value("--out"),
-            "--dump-tables" => opts.dump_tables = Some(PathBuf::from(value("--dump-tables"))),
+            "--addr" => opts.addr = Some(args.value()?),
+            "--addr-file" => opts.addr_file = Some(args.value()?.into()),
+            "--apps" => opts.apps = args.parse()?,
+            "--ops" => opts.ops = args.parse()?,
+            "--records" => opts.records = args.parse()?,
+            "--zipf" => opts.zipf = args.parse()?,
+            "--burst" => opts.burst = args.parse()?,
+            "--ingest-pct" => opts.ingest_pct = args.parse()?,
+            "--seed" => opts.seed = args.parse()?,
+            "--retries" => opts.retries = args.parse()?,
+            "--fault-plan" => opts.fault_plan = FaultPlan::parse_keys(&args.value()?, &FAULT_KEYS)?,
+            "--out" => opts.out = args.value()?,
+            "--dump-tables" => opts.dump_tables = Some(args.value()?.into()),
             "--dump-only" => opts.dump_only = true,
-            other => usage(&format!("unknown flag {other:?}")),
+            _ => return Err(args.unexpected()),
         }
     }
     if opts.ingest_pct > 100 {
-        usage("--ingest-pct must be 0..=100");
+        return Err("--ingest-pct must be 0..=100".to_owned());
     }
     if opts.apps == 0 || opts.apps > AppSpec::all().len() {
-        usage(&format!("--apps must be 1..={}", AppSpec::all().len()));
+        return Err(format!("--apps must be 1..={}", AppSpec::all().len()));
     }
-    opts
-}
-
-fn parse<T: std::str::FromStr>(s: &str, flag: &str) -> T {
-    s.parse()
-        .unwrap_or_else(|_| usage(&format!("bad value {s:?} for {flag}")))
+    Ok(opts)
 }
 
 /// Rotating per-app batch pool: generation cost is paid before the timed
@@ -138,7 +119,7 @@ fn percentile_us(sorted_ns: &[u64], p: f64) -> f64 {
 }
 
 fn main() -> ExitCode {
-    let opts = parse_args();
+    let opts = parse_args().unwrap_or_else(|e| cli::fail(USAGE, &e));
     let addr = match (&opts.addr, &opts.addr_file) {
         (Some(addr), _) => addr.clone(),
         (None, Some(path)) => match std::fs::read_to_string(path) {
@@ -148,7 +129,7 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         },
-        (None, None) => usage("need --addr or --addr-file"),
+        (None, None) => cli::fail(USAGE, "need --addr or --addr-file"),
     };
     let retry = RetryPolicy {
         max_retries: opts.retries,

@@ -25,9 +25,9 @@
 //! # Plan spec grammar
 //!
 //! One loop parses every plan: comma-separated `key=field:field…`
-//! entries. Each binary consults the keys it has sites for — cells and
-//! writes in `figures`, process faults in `figures` workers and `hintd`,
-//! frames in the `hintd` client.
+//! entries. Each binary accepts only the keys it has sites for
+//! ([`FaultPlan::parse_keys`]): `figures` all but `net`, `hintd` `io` and
+//! `exit-after`, and `hintload` `net`.
 //!
 //! | entry | site | meaning |
 //! |-------|------|---------|
@@ -244,6 +244,17 @@ pub struct FaultPlan {
     net_points: Vec<(u64, u64, NetFault)>,
 }
 
+/// Every key of the grammar, in the order of the module-docs table.
+pub const ALL_KEYS: [&str; 7] = [
+    "seed",
+    "panic",
+    "panic-rate",
+    "io",
+    "exit-after",
+    "proc",
+    "net",
+];
+
 /// Keys the plan holds one value for. A spec that repeats one is rejected:
 /// keeping only the last entry would silently drop the first.
 const SINGULAR_KEYS: [&str; 4] = ["seed", "panic-rate", "io", "exit-after"];
@@ -255,6 +266,13 @@ const MAX_NET_DELAY_MS: u64 = 10_000;
 impl FaultPlan {
     /// Parses a `--fault-plan` spec string. An empty spec is an empty plan.
     pub fn parse(spec: &str) -> Result<Self, String> {
+        Self::parse_keys(spec, &ALL_KEYS)
+    }
+
+    /// Parses a spec for a binary that has fault sites for `keys` only: an
+    /// entry under any other key of the grammar is an error naming the key
+    /// and listing `keys`, because that binary would never fire it.
+    pub fn parse_keys(spec: &str, keys: &[&str]) -> Result<Self, String> {
         let mut plan = FaultPlan::default();
         let mut seen: Vec<&str> = Vec::new();
         for entry in spec.split(',').map(str::trim).filter(|e| !e.is_empty()) {
@@ -262,6 +280,12 @@ impl FaultPlan {
                 .split_once('=')
                 .ok_or_else(|| format!("fault-plan entry {entry:?} is not key=value"))?;
             let key = key.trim();
+            if ALL_KEYS.contains(&key) && !keys.contains(&key) {
+                return Err(format!(
+                    "fault-plan key {key:?} has no fault site in this binary (accepted: {})",
+                    keys.join(", ")
+                ));
+            }
             if SINGULAR_KEYS.contains(&key) {
                 if seen.contains(&key) {
                     return Err(format!("fault-plan key {key:?} given twice"));
@@ -949,6 +973,17 @@ mod tests {
             assert!(err.contains(&format!("{key:?}")), "{spec}: {err}");
         }
         assert!(FaultPlan::parse("").unwrap().cell_points.is_empty());
+    }
+
+    #[test]
+    fn parse_keys_rejects_keys_without_a_site() {
+        let keys = ["io", "exit-after"];
+        assert!(FaultPlan::parse_keys("io=stats:1,exit-after=2", &keys).is_ok());
+        let err = FaultPlan::parse_keys("exit-after=2,proc=1:0:die", &keys).unwrap_err();
+        assert!(err.contains("\"proc\""), "{err}");
+        assert!(err.contains("accepted: io, exit-after"), "{err}");
+        let err = FaultPlan::parse_keys("bogus=1", &keys).unwrap_err();
+        assert!(err.contains("unknown fault-plan key \"bogus\""), "{err}");
     }
 
     #[test]

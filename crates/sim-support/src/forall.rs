@@ -53,7 +53,8 @@ where
         v.parse()
             .unwrap_or_else(|_| panic!("{SEED_ENV} must be a u64, got {v:?}"))
     });
-    let base = location_seed(location);
+    // FNV-1a over the test location: stable across runs and platforms.
+    let base = crate::fault::fnv1a(location.as_bytes());
     let seeds: Vec<u64> = match replay {
         Some(seed) => vec![seed],
         None => (0..u64::from(cases)).map(|i| mix(base, i)).collect(),
@@ -117,16 +118,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     } else {
         "<non-string panic payload>".to_owned()
     }
-}
-
-/// FNV-1a over the test location: stable across runs and platforms.
-fn location_seed(location: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in location.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// SplitMix-style mix of the base seed and case index.

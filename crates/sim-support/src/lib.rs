@@ -28,6 +28,8 @@
 //!   grammar for cell, write, process and wire faults) and the
 //!   [`SimError`] taxonomy (Transient / Poison / Fatal) that lets batch
 //!   executors retry, quarantine, or abort on partial failure.
+//! * [`cli`] — the command-line [`cli::Cursor`] the workspace binaries
+//!   parse with: every error names its flag and exits 2 before any work.
 //! * [`fsio`] — crash-safe results I/O: [`fsio::write_atomic`]
 //!   (temp-file + rename) and fsync'd journal appends, with fault-plan
 //!   injection points.
@@ -47,6 +49,7 @@
 //! ```
 
 pub mod bench;
+pub mod cli;
 pub mod detmap;
 pub mod fault;
 pub mod forall;

@@ -53,15 +53,6 @@ pub const RULE_DESCRIPTIONS: [(&str, &str); 15] = [
     ("P04", "dyn dispatch in a [hotpath] function"),
 ];
 
-/// The one-line description for a rule id (empty for unknown ids).
-pub fn rule_description(rule: &str) -> &'static str {
-    RULE_DESCRIPTIONS
-        .iter()
-        .find(|(id, _)| *id == rule)
-        .map(|(_, d)| *d)
-        .unwrap_or("")
-}
-
 /// Collects the raw (pre-suppression) per-file diagnostics. The engine in
 /// `lib.rs` applies suppression filtering itself so it can track which
 /// suppressions were used (rule X02); [`lint_scanned`] applies it inline.

@@ -48,14 +48,6 @@ impl Confluence {
             ..Self::default()
         }
     }
-
-    /// Overrides the stream replay depth.
-    pub fn with_depth(depth: usize) -> Self {
-        Self {
-            depth,
-            ..Self::default()
-        }
-    }
 }
 
 impl Prefetcher for Confluence {

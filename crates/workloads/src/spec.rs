@@ -9,6 +9,7 @@
 //! are "hot" and cover ≈90% of accesses, Figs. 6–7), phase-driven transient
 //! variance (Fig. 5), and verilator's outsized code footprint (Fig. 3).
 
+use sim_support::fault::fnv1a;
 use sim_support::SimRng;
 
 use crate::exec::{Executor, InputConfig};
@@ -79,16 +80,6 @@ pub struct AppSpec {
     pub structure_seed: u64,
 }
 
-fn seed_of(name: &str) -> u64 {
-    // FNV-1a, stable across runs and platforms.
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in name.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 impl AppSpec {
     /// A baseline spec with mid-sized parameters, for building custom
     /// workloads (the suite generators use this).
@@ -124,7 +115,8 @@ impl AppSpec {
             burst_len: 16,
             cold_walk_probability: 1.4,
             cold_walk_budget: 10,
-            structure_seed: seed_of(name),
+            // FNV-1a of the name: stable across runs and platforms.
+            structure_seed: fnv1a(name.as_bytes()),
         }
     }
 

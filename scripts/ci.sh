@@ -180,4 +180,17 @@ cmp "$sw_dir/serial.md" "$sw_dir/sweep.md"
 cmp "$sw_dir/serial.jsonl" "$sw_dir/sweep.jsonl"
 grep -q 'killed by a signal' "$sw_dir/shards/sweep_stats.json"
 
+echo "==> thermobench smoke (the benchmark's own argv to figures, tracegen, btbsim, hintd)"
+# thermobench drives the binaries with command lines of its own; a parser
+# that rejected one would show up only as failed operations there.
+benchmark/run.sh --runs 1 --seconds 2 --out "$ft_dir/thermobench.json" > /dev/null
+for workload in grid btbsim hintd-ingest hintd-query; do
+    if ! grep -Eq "\"$workload\": \[\{\"correct\": true, \"attempted\": [0-9]+, \"failed\": 0," \
+            "$ft_dir/thermobench.json"; then
+        echo "thermobench: $workload is not correct with 0 failed operations" >&2
+        cat "$ft_dir/thermobench.json" >&2
+        exit 1
+    fi
+done
+
 echo "CI green."

@@ -77,3 +77,43 @@ fn unknown_policy_exits_2_and_lists_the_vocabulary() {
     assert!(stderr.contains("unknown policy nosuch"), "{stderr}");
     assert!(stderr.contains(&POLICY_NAMES.join(", ")), "{stderr}");
 }
+
+#[test]
+fn misspelled_valueless_and_stray_arguments_exit_2_in_btbsim_and_tracegen() {
+    let dir = scratch("bad-args");
+    let test = tracegen(&dir, 1);
+    for (args, named) in [
+        (&["--polcy", "opt", "--entires", "1024"][..], "--polcy"),
+        (&["--policy"], "--policy"),
+        (&["lru"], "\"lru\""),
+    ] {
+        let out = btbsim(args, &test);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "btbsim {args:?}: {stderr}");
+        assert!(stderr.contains(named), "btbsim {args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "btbsim {args:?} simulated anyway");
+    }
+
+    let out_file = dir.join("bad.btbt");
+    let out_path = out_file.to_str().expect("utf-8 path");
+    for (args, named) in [
+        (
+            &["app", "kafka", "--recods", "1000", "--out", out_path][..],
+            "--recods",
+        ),
+        (
+            &["app", "kafka", "--out", out_path, "--records"],
+            "--records",
+        ),
+        (&["app", "kafka", "python", "--out", out_path], "\"python\""),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_tracegen"))
+            .args(args)
+            .output()
+            .expect("spawn tracegen");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "tracegen {args:?}: {stderr}");
+        assert!(stderr.contains(named), "tracegen {args:?}: {stderr}");
+        assert!(!out_file.exists(), "tracegen {args:?} wrote a trace anyway");
+    }
+}

@@ -260,18 +260,94 @@ fn sigkill_between_acks_recovers_byte_identical_tables() {
     );
 }
 
+/// Runs `bin` with `args`; returns its exit code and stderr, or `None`
+/// for a process still running after 30 s (killed then).
+fn run_bounded(bin: &str, args: &[&str], stderr_path: &Path) -> (Option<i32>, String) {
+    let stderr = std::fs::File::create(stderr_path).expect("stderr file");
+    let mut child = Command::new(bin)
+        .args(args)
+        .stdout(Stdio::null())
+        .stderr(stderr)
+        .spawn()
+        .expect("spawn binary");
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let code = loop {
+        if let Some(status) = child.try_wait().expect("wait") {
+            break status.code();
+        }
+        if Instant::now() > deadline {
+            let _ = child.kill();
+            let _ = child.wait();
+            break None;
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    (
+        code,
+        std::fs::read_to_string(stderr_path).unwrap_or_default(),
+    )
+}
+
 #[test]
 fn bad_fault_plan_exits_2_in_hintd_and_hintload() {
-    for bin in [env!("CARGO_BIN_EXE_hintd"), env!("CARGO_BIN_EXE_hintload")] {
-        let out = Command::new(bin)
-            .args(["--fault-plan", "bogus=1"])
-            .output()
-            .expect("spawn binary");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(2), "{bin}: stderr:\n{stderr}");
-        assert!(
-            stderr.contains("unknown fault-plan key \"bogus\""),
-            "{bin}: {stderr}"
-        );
+    let dir = scratch("bad-cli");
+    let data = dir.join("data");
+    let data = data.to_str().unwrap();
+    let hintd = env!("CARGO_BIN_EXE_hintd");
+    let hintload = env!("CARGO_BIN_EXE_hintload");
+    // hintd gets a data dir and hintload a real (closed) address, so that
+    // only the parse can stop them.
+    let out = dir.to_str().unwrap();
+    let load = |spec| {
+        let addr = [
+            "--addr",
+            "127.0.0.1:9",
+            "--apps",
+            "1",
+            "--ops",
+            "1",
+            "--out",
+            out,
+        ];
+        [&addr[..], &["--fault-plan", spec]].concat()
+    };
+    let serve = |args: &[&'static str]| [&["--data-dir", data][..], args].concat();
+    let cases = [
+        (
+            hintd,
+            vec!["--fault-plan", "bogus=1"],
+            "unknown fault-plan key \"bogus\"",
+        ),
+        (
+            hintload,
+            vec!["--fault-plan", "bogus=1"],
+            "unknown fault-plan key \"bogus\"",
+        ),
+        // Keys of the grammar that the binary has no fault site for.
+        (
+            hintd,
+            serve(&["--fault-plan", "proc=1:0:die:1"]),
+            "\"proc\"",
+        ),
+        (
+            hintd,
+            serve(&["--fault-plan", "panic=fig01:0:poison"]),
+            "\"panic\"",
+        ),
+        (hintload, load("panic=fig01:0:poison"), "\"panic\""),
+        (hintload, load("io=stats:1"), "\"io\""),
+        (hintload, load("proc=1:0:die"), "\"proc\""),
+        // Out-of-range values the server would otherwise assert on.
+        (hintd, serve(&["--shards", "0"]), "--shards must be >= 1"),
+        (
+            hintd,
+            serve(&["--btb-ways", "0"]),
+            "--btb-ways must be >= 1",
+        ),
+    ];
+    for (i, (bin, args, message)) in cases.into_iter().enumerate() {
+        let (code, stderr) = run_bounded(bin, &args, &dir.join(format!("stderr-{i}")));
+        assert_eq!(code, Some(2), "{bin} {args:?}: stderr:\n{stderr}");
+        assert!(stderr.contains(message), "{bin} {args:?}: {stderr}");
     }
 }

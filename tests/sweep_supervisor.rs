@@ -41,6 +41,11 @@ fn figures(args: &[&str]) -> Output {
 
 /// A serial reference run into `dir`; returns (stdout, markdown, journal).
 fn serial_reference(dir: &Path) -> (Vec<u8>, Vec<u8>, Vec<u8>) {
+    serial_reference_with(dir, &[])
+}
+
+/// [`serial_reference`] with extra worker flags.
+fn serial_reference_with(dir: &Path, extra: &[&str]) -> (Vec<u8>, Vec<u8>, Vec<u8>) {
     let md = dir.join("serial.md");
     let journal = dir.join("serial.jsonl");
     let stats = dir.join("serial_stats.json");
@@ -58,6 +63,7 @@ fn serial_reference(dir: &Path) -> (Vec<u8>, Vec<u8>, Vec<u8>) {
         "--grid-stats",
         &stats_s,
     ]);
+    args.extend(extra);
     let out = figures(&args);
     assert!(out.status.success(), "serial run failed: {:?}", out.status);
     (
@@ -345,28 +351,116 @@ fn more_shards_than_figures_leaves_empty_shards_clean() {
     );
 }
 
-#[test]
-fn bad_fault_plan_exits_2_before_any_worker_spawns() {
-    let dir = scratch("bad-plan");
-    let worker = figures(&["fig01", "--fault-plan", "bogus=1"]);
-    let (sweep_out, _, _) = sweep(
-        &dir,
-        "2",
-        &["--max-restarts", "1", "--fault-plan", "bogus=1"],
-    );
-    for (mode, out) in [("figures", worker), ("figures sweep", sweep_out)] {
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(2), "{mode}: stderr:\n{stderr}");
-        assert!(
-            stderr.contains("unknown fault-plan key \"bogus\""),
-            "{mode}: {stderr}"
-        );
-    }
-    let pids: Vec<_> = std::fs::read_dir(dir.join("shards"))
+/// The worker pid files a sweep into `dir` left behind.
+fn pid_files(dir: &Path) -> Vec<std::fs::DirEntry> {
+    std::fs::read_dir(dir.join("shards"))
         .into_iter()
         .flatten()
         .flatten()
         .filter(|e| e.file_name().to_string_lossy().ends_with(".pid"))
-        .collect();
-    assert!(pids.is_empty(), "workers spawned: {pids:?}");
+        .collect()
+}
+
+#[test]
+fn bad_fault_plan_exits_2_before_any_worker_spawns() {
+    // `net=` is valid grammar, but no figures process has a site for it.
+    for (spec, message) in [
+        ("bogus=1", "unknown fault-plan key \"bogus\""),
+        ("net=0:0:drop", "fault-plan key \"net\" has no fault site"),
+    ] {
+        let dir = scratch(&format!("bad-plan-{}", &spec[..3]));
+        let worker = figures(&["fig01", "--fault-plan", spec]);
+        let (sweep_out, _, _) = sweep(&dir, "2", &["--max-restarts", "1", "--fault-plan", spec]);
+        for (mode, out) in [("figures", worker), ("figures sweep", sweep_out)] {
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{mode}: stderr:\n{stderr}");
+            assert!(stderr.contains(message), "{mode}: {stderr}");
+        }
+        let pids = pid_files(&dir);
+        assert!(pids.is_empty(), "{spec}: workers spawned: {pids:?}");
+    }
+}
+
+#[test]
+fn bad_command_lines_exit_2_before_any_work() {
+    let sweep_cases: [(&[&str], &str); 6] = [
+        (&["--threads", "0"], "--threads must be >= 1"),
+        (&["fig99"], "unknown figure id: fig99"),
+        (&["--tick-ms", "0"], "--tick-ms must be >= 1"),
+        (&["--stall-ticks", "0"], "--stall-ticks must be >= 1"),
+        (
+            &["--straggler-factor", "1"],
+            "--straggler-factor must be >= 2",
+        ),
+        (&["--shard", "1/2"], "sets --shard"),
+    ];
+    for (i, (extra, message)) in sweep_cases.iter().enumerate() {
+        let dir = scratch(&format!("bad-sweep-{i}"));
+        let mut args = vec!["--max-restarts", "0"];
+        args.extend(*extra);
+        let (out, _, _) = sweep(&dir, "2", &args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{extra:?}: stderr:\n{stderr}");
+        assert!(stderr.contains(message), "{extra:?}: {stderr}");
+        let pids = pid_files(&dir);
+        assert!(pids.is_empty(), "{extra:?}: workers spawned: {pids:?}");
+    }
+
+    let dir = scratch("bad-merge");
+    let shards = dir.join("shards");
+    let out = figures(&[
+        "merge",
+        "fig99",
+        "--shards",
+        "2",
+        "--dir",
+        shards.to_str().unwrap(),
+    ]);
+    assert_eq!(out.status.code(), Some(2), "merge fig99: {out:?}");
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown figure id: fig99"));
+
+    // A worker must reject the whole command line before it computes or
+    // journals the figures that precede the bad argument.
+    for (i, (args, message)) in [
+        (&["fig01", "fig99"][..], "unknown figure id: fig99"),
+        (&["fig01", "--treads", "2"], "unknown flag --treads"),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let journal = scratch(&format!("bad-worker-{i}")).join("journal.jsonl");
+        let journal_s = journal.to_str().unwrap().to_owned();
+        let mut argv = args.to_vec();
+        argv.extend(["--journal", &journal_s]);
+        let out = figures(&argv);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{argv:?}: stderr:\n{stderr}");
+        assert!(stderr.contains(message), "{argv:?}: {stderr}");
+        assert!(!journal.exists(), "{argv:?}: journal written");
+    }
+}
+
+#[test]
+fn sweep_forwards_threads_quarantine_and_retries_to_every_worker() {
+    let dir = scratch("forwarded");
+    let flags = [
+        "--threads",
+        "1",
+        "--quarantine",
+        "--max-retries",
+        "1",
+        "--fault-plan",
+        "seed=1,panic=fig01:1:poison",
+    ];
+    let reference = serial_reference_with(&dir, &flags);
+    let result = sweep(&dir, "2", &flags);
+    assert_identical("forwarded-flags sweep", &reference, &result);
+    for number in 1..=2 {
+        let stats = std::fs::read_to_string(dir.join(format!("shards/shard-{number}_stats.json")))
+            .expect("shard stats");
+        assert!(
+            stats.contains("\"threads\": 1,"),
+            "shard {number} ignored --threads:\n{stats}"
+        );
+    }
 }
