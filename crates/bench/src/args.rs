@@ -1,6 +1,6 @@
 //! The `figures` command line. [`WorkerArgs`] owns the worker argv
-//! format: the worker parses it, and `figures sweep` spawns every worker
-//! from a `WorkerArgs` template with [`WorkerArgs::to_argv`], so a bad id,
+//! format: the worker parses it, and `figures supervise` spawns its worker
+//! from a parsed `WorkerArgs` with [`WorkerArgs::to_argv`], so a bad id,
 //! flag or value fails the parse before any figure or worker exists.
 
 use std::path::PathBuf;
@@ -8,7 +8,7 @@ use std::path::PathBuf;
 use sim_support::cli::Cursor;
 use sim_support::FaultPlan;
 
-use crate::{ShardSpec, FIGURE_IDS};
+use crate::FIGURE_IDS;
 
 /// The `--fault-plan` keys a `figures` process has fault sites for: cells,
 /// result writes and worker processes. `net` belongs to the hint client.
@@ -33,12 +33,11 @@ pub struct WorkerArgs {
     pub resume: bool,
     /// `--quarantine`: drop panicking cells instead of aborting.
     pub quarantine: bool,
-    /// `--max-retries`: extra attempts for transient cell faults.
+    /// `--max-retries`: extra attempts for transient cell faults; needs
+    /// `quarantine`, which isolates the cells it retries.
     pub max_retries: u32,
     /// `--fault-plan`: a spec over [`FAULT_KEYS`], checked by `parse`.
     pub fault_plan: Option<String>,
-    /// `--shard i/N`: compute only this shard's figures.
-    pub shard: Option<ShardSpec>,
     /// `--attempt`: the 0-based supervisor attempt `proc=` faults key on.
     pub attempt: u32,
 }
@@ -62,11 +61,15 @@ impl WorkerArgs {
                     FaultPlan::parse_keys(&spec, &FAULT_KEYS)?;
                     parsed.fault_plan = Some(spec);
                 }
-                "--shard" => parsed.shard = Some(ShardSpec::parse(&args.value()?)?),
                 "--attempt" => parsed.attempt = args.parse()?,
                 _ if args.at_flag() => return Err(args.unexpected()),
                 _ => parsed.ids.push(arg),
             }
+        }
+        if parsed.max_retries > 0 && !parsed.quarantine {
+            return Err(
+                "--max-retries needs --quarantine: only isolated cells are retried".to_owned(),
+            );
         }
         parsed.ids = expand_ids(parsed.ids)?;
         Ok(parsed)
@@ -83,7 +86,6 @@ impl WorkerArgs {
             ("--journal", path(&self.journal)),
             ("--max-retries", nonzero(self.max_retries)),
             ("--fault-plan", self.fault_plan.clone()),
-            ("--shard", self.shard.map(|s| s.to_string())),
             ("--attempt", nonzero(self.attempt)),
         ];
         let mut argv = self.ids.clone();
@@ -128,17 +130,13 @@ pub fn expand_ids(ids: Vec<String>) -> Result<Vec<String>, String> {
     Ok(ids)
 }
 
-/// The usage text of `figures`, `figures sweep` and `figures merge`.
+/// The usage text of `figures` and `figures supervise`.
 pub fn usage() -> String {
     format!(
         "usage: figures <ids|all>... [--markdown <path>] [--threads N] [--grid-stats <path>] \
-         [--journal <path>] [--resume] [--quarantine] [--max-retries N] [--fault-plan <spec>] \
-         [--shard i/N] [--attempt K]\n\
-         \x20      figures sweep <ids|all>... --shards N [--dir <path>] [--markdown <path>] \
-         [--journal <path>] [--max-restarts N] [--tick-ms MS] [--stall-ticks N] \
-         [--straggler-factor N] [--seed N] [worker flags but --shard, --attempt, --grid-stats]\n\
-         \x20      figures merge <ids|all>... --shards N [--dir <path>] [--markdown <path>] \
-         [--journal <path>]\n\
+         [--journal <path>] [--resume] [--quarantine [--max-retries N]] [--fault-plan <spec>]\n\
+         \x20      figures supervise <ids|all>... [--max-restarts N] [--stall-ms MS] \
+         [figures flags]\n\
          ids: {}\n\
          fault-plan keys: {}",
         FIGURE_IDS.join(" "),
@@ -166,6 +164,14 @@ mod tests {
             (&["fig01", "--threads", "0"], "--threads must be >= 1"),
             (&["fig01", "--journal"], "--journal needs a value"),
             (&["fig01", "--fault-plan", "net=0:0:drop"], "\"net\""),
+            (
+                &["fig01", "--fault-plan", "proc=2:0:die"],
+                "SHARD must be 1",
+            ),
+            (
+                &["fig01", "--max-retries", "2"],
+                "--max-retries needs --quarantine",
+            ),
             (&[], "no figures requested"),
         ] {
             let err = WorkerArgs::parse(&argv(bad)).expect_err(message);
@@ -174,7 +180,7 @@ mod tests {
     }
 
     /// A random worker command line: every field set or left at its
-    /// default, as a sweep template or a spawned worker would have it.
+    /// default, as a supervisor or a spawned worker would have it.
     fn arb_worker(rng: &mut SimRng) -> WorkerArgs {
         let path = |rng: &mut SimRng, ext: &str| {
             rng.gen_bool(0.5)
@@ -183,9 +189,9 @@ mod tests {
         let specs = [
             "seed=1,panic=fig01:1:poison",
             "exit-after=3",
-            "proc=2:0:hang:2",
+            "proc=1:0:hang:2",
         ];
-        let count = rng.gen_range(1..=8usize);
+        let quarantine = rng.gen_bool(0.5);
         WorkerArgs {
             ids: (0..rng.gen_range(1..=6usize))
                 .map(|_| FIGURE_IDS[rng.gen_range(0..FIGURE_IDS.len())].to_owned())
@@ -195,15 +201,15 @@ mod tests {
             grid_stats: path(rng, "json"),
             journal: path(rng, "jsonl"),
             resume: rng.gen_bool(0.5),
-            quarantine: rng.gen_bool(0.5),
-            max_retries: rng.gen_range(0..3u32),
+            quarantine,
+            max_retries: if quarantine {
+                rng.gen_range(0..3u32)
+            } else {
+                0
+            },
             fault_plan: rng
                 .gen_bool(0.5)
                 .then(|| specs[rng.gen_range(0..specs.len())].to_owned()),
-            shard: rng.gen_bool(0.5).then(|| ShardSpec {
-                number: rng.gen_range(1..=count),
-                count,
-            }),
             attempt: rng.gen_range(0..3u32),
         }
     }

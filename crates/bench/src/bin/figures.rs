@@ -1,5 +1,5 @@
-//! Regenerates the paper's figures, in one process or over a supervised
-//! fleet of worker processes.
+//! Regenerates the paper's figures, in this process or in one supervised
+//! worker process.
 //!
 //! ```text
 //! figures all                  # every figure, prints tables
@@ -8,8 +8,7 @@
 //! figures all --threads 8      # scatter cells over 8 workers
 //! figures all --quarantine --max-retries 1   # survive bad cells
 //! figures all --resume         # splice in work from a crashed run
-//! figures sweep all --shards 4 --dir results/sweep   # fleet of workers
-//! figures merge all --shards 4 --dir results/sweep   # recombine only
+//! figures supervise all --markdown out.md   # restart a dead or wedged worker
 //! ```
 //!
 //! `figures --help` lists every figure id (`FIGURE_IDS`) and flag. The
@@ -26,21 +25,21 @@
 //! `--quarantine` drops panicking cells, `--max-retries N` retries
 //! transient ones, and `--fault-plan` injects deterministic faults.
 //!
-//! Sharded sweeps (DESIGN.md §13): `figures sweep` takes the supervisor's
-//! flags and parses the rest into the `WorkerArgs` template it spawns one
-//! worker per shard from. The shard journals merge into output
-//! byte-identical to a serial run, stamped `incomplete` (exit 3) when a
-//! poison shard exhausted its restarts. `figures merge` only merges.
+//! Supervised grid (DESIGN.md §13): `figures supervise` takes
+//! `--max-restarts` and `--stall-ms` and parses the rest into the
+//! `WorkerArgs` of the one worker it spawns, restarting it with `--resume`
+//! when it dies, stalls or exits 0 without finishing. It prints stdout and
+//! writes `--markdown` from the verified journal, byte-identical to a
+//! serial run, or stamped `incomplete` (exit 3) once restarts run out.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use sim_support::cli::{self, Cursor};
 use sim_support::{fault, fsio, pool};
 use thermometer_bench::figures::memo;
-use thermometer_bench::{
-    args, figure_by_id, grid, journal, merge, sweep, Journal, Scale, SweepConfig, WorkerArgs,
-};
+use thermometer_bench::supervise::{self, Supervisor};
+use thermometer_bench::{args, figure_by_id, grid, journal, merge, Journal, Scale, WorkerArgs};
 
 const DEFAULT_JOURNAL: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
@@ -48,134 +47,92 @@ const DEFAULT_JOURNAL: &str = concat!(
 );
 const DEFAULT_GRID_STATS: &str =
     concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/grid_stats.json");
-const DEFAULT_SWEEP_DIR: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/sweep");
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     match argv.first().map(String::as_str) {
-        Some("sweep") => run_fleet(argv[1..].to_vec(), false),
-        Some("merge") => run_fleet(argv[1..].to_vec(), true),
+        Some("supervise") => run_supervise(&argv[1..]),
         _ => run_worker(WorkerArgs::parse(&argv).unwrap_or_else(|e| fail(&e))),
     }
 }
 
-/// Parses `sweep` (or, with `merge_only`, `merge`) arguments into the
-/// sweep, its `--markdown` and its `--journal`. Flags that are not the
-/// supervisor's go to the worker template; `merge` takes ids and the four
-/// output flags only.
-fn parse_sweep_args(
-    argv: Vec<String>,
-    merge_only: bool,
-) -> Result<(SweepConfig, Option<String>, String), String> {
-    let mut args = Cursor::new(argv, args::usage());
-    let mut cfg = SweepConfig::new(WorkerArgs::default(), 0, PathBuf::from(DEFAULT_SWEEP_DIR));
-    let mut markdown = None;
-    let mut journal_out = DEFAULT_JOURNAL.to_owned();
+/// Parses `supervise` arguments into the supervisor and its `--markdown`.
+/// Flags that are not the supervisor's go to the worker's `WorkerArgs`.
+fn parse_supervise_args(argv: &[String]) -> Result<(Supervisor, Option<PathBuf>), String> {
+    let mut args = Cursor::new(argv.iter().cloned(), args::usage());
+    let mut max_restarts = 2;
+    let mut stall_ms = 10_000;
     let mut forwarded = Vec::new();
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--shards" => cfg.shards = args.at_least(1)?,
-            "--dir" => cfg.dir = args.value()?.into(),
-            "--markdown" => markdown = Some(args.value()?),
-            "--journal" => journal_out = args.value()?,
-            "--max-restarts" if !merge_only => cfg.max_restarts = args.parse()?,
-            "--tick-ms" if !merge_only => cfg.tick_ms = args.at_least(1)?,
-            "--stall-ticks" if !merge_only => cfg.stall_ticks = args.at_least(1)?,
-            "--straggler-factor" if !merge_only => cfg.straggler_factor = args.at_least(2)?,
-            "--seed" if !merge_only => cfg.seed = args.parse()?,
-            _ if merge_only && args.at_flag() => return Err(args.unexpected()),
+            "--max-restarts" => max_restarts = args.parse()?,
+            "--stall-ms" => stall_ms = args.at_least(1)?,
             _ => forwarded.push(arg),
         }
     }
-    if cfg.shards == 0 {
-        return Err("sweep/merge need --shards N (>= 1)".to_owned());
+    let mut worker = WorkerArgs::parse(&forwarded)?;
+    if worker.attempt != 0 {
+        return Err("figures supervise sets --attempt per worker".to_owned());
     }
-    cfg.worker = if merge_only {
-        WorkerArgs {
-            ids: args::expand_ids(forwarded)?,
-            ..WorkerArgs::default()
-        }
-    } else {
-        WorkerArgs::parse(&forwarded)?
+    let markdown = worker.markdown.take();
+    worker.journal.get_or_insert_with(|| DEFAULT_JOURNAL.into());
+    let supervisor = Supervisor {
+        worker,
+        max_restarts,
+        stall_ms,
     };
-    if cfg.worker.shard.is_some() || cfg.worker.attempt != 0 || cfg.worker.grid_stats.is_some() {
-        return Err("figures sweep sets --shard, --attempt and --grid-stats per worker".to_owned());
-    }
-    Ok((cfg, markdown, journal_out))
+    Ok((supervisor, markdown))
 }
 
-/// `figures sweep`, or with `merge_only` `figures merge`: supervise a
-/// fleet of workers (or only read their journals) and emit the merge.
-fn run_fleet(argv: Vec<String>, merge_only: bool) -> ! {
-    let (cfg, markdown, journal_out) =
-        parse_sweep_args(argv, merge_only).unwrap_or_else(|e| fail(&e));
+/// `figures supervise`: runs one supervised worker, then prints the
+/// verified journal's figures and writes the report. Exits 0 when every
+/// figure committed, 3 when the report is incomplete.
+fn run_supervise(argv: &[String]) -> ! {
+    let (cfg, markdown) = parse_supervise_args(argv).unwrap_or_else(|e| fail(&e));
     let scale = scale_from_env();
-    if merge_only {
-        let outcome = merge::merge_shards(&scale, &cfg.worker.ids, cfg.shards, &cfg.dir);
-        emit_merge_outputs(&outcome, &scale, markdown.as_deref(), &journal_out);
-    }
+    let journal = cfg
+        .worker
+        .journal
+        .clone()
+        .expect("set by parse_supervise_args");
     eprintln!(
-        "sweep: {} figure(s) over {} shard(s) under {}",
+        "supervise: {} figure(s), journal {}",
         cfg.worker.ids.len(),
-        cfg.shards,
-        cfg.dir.display()
+        journal.display()
     );
-    let report = sweep::run_sweep(&cfg, &scale).unwrap_or_else(|e| {
-        eprintln!("sweep setup failed: {e}");
+    let run = supervise::supervise(&cfg, &scale).unwrap_or_else(|e| {
+        eprintln!("supervise failed: {e}");
         std::process::exit(1);
     });
-    for shard in &report.shards {
-        match &shard.outcome {
-            sweep::ShardOutcome::Done => eprintln!(
-                "shard {}/{}: done in {} attempt(s)",
-                shard.number, cfg.shards, shard.attempts
-            ),
-            sweep::ShardOutcome::Quarantined { reason } => eprintln!(
-                "shard {}/{}: QUARANTINED after {} attempt(s): {reason}",
-                shard.number, cfg.shards, shard.attempts
-            ),
-        }
+    let stats = supervise::beside(&journal, "supervise.json");
+    if let Err(e) = supervise::write_stats(&stats, &run) {
+        eprintln!("failed to write {}: {e}", stats.display());
     }
-    if let Err(e) = sweep::write_sweep_stats(&cfg, &report) {
-        eprintln!("failed to write sweep_stats.json: {e}");
+    let mut sections = Vec::new();
+    for figure in &run.loaded.figures {
+        print!("{}", figure.display);
+        sections.push(figure.markdown.clone());
     }
-    emit_merge_outputs(&report.merge, &scale, markdown.as_deref(), &journal_out);
-}
-
-/// Prints the merged display, writes the merged journal and optional
-/// markdown report, then exits: 0 when complete, 3 when degraded.
-fn emit_merge_outputs(
-    outcome: &merge::MergeOutcome,
-    scale: &Scale,
-    markdown: Option<&str>,
-    journal_out: &str,
-) -> ! {
-    print!("{}", outcome.display);
-    let journal_path = std::path::Path::new(journal_out);
-    if let Err(e) = fsio::write_atomic(journal_path, outcome.journal_bytes().as_bytes()) {
-        eprintln!("failed to write {journal_out}: {e}");
-        std::process::exit(1);
-    }
-    eprintln!("wrote {journal_out}");
+    let reason = format!(
+        "the worker failed {} attempt(s), the last with: {}",
+        run.attempts,
+        run.failures.last().map_or("", String::as_str)
+    );
     if let Some(path) = markdown {
-        let report = outcome.report(scale);
-        if let Err(e) = fsio::write_atomic_retry(std::path::Path::new(path), report.as_bytes(), 3) {
-            eprintln!("failed to write {path}: {e}");
-            std::process::exit(1);
-        }
-        eprintln!("wrote {path}");
+        write_report(
+            &path,
+            &merge::report(&scale, &sections, &run.missing, &reason),
+        );
     }
-    if outcome.is_complete() {
+    if run.missing.is_empty() {
         std::process::exit(0);
     }
-    for m in &outcome.missing {
-        eprintln!("missing: {} (shard {}): {}", m.id, m.shard, m.reason);
-    }
     eprintln!(
-        "merge incomplete: {} figure(s) missing; report stamped incomplete",
-        outcome.missing.len()
+        "supervise: incomplete, {} figure(s) missing ({}): {reason}",
+        run.missing.len(),
+        run.missing.join(", ")
     );
-    std::process::exit(sweep::INCOMPLETE_EXIT_CODE);
+    std::process::exit(supervise::INCOMPLETE_EXIT_CODE);
 }
 
 fn run_worker(args: WorkerArgs) {
@@ -190,21 +147,13 @@ fn run_worker(args: WorkerArgs) {
         .grid_stats
         .clone()
         .unwrap_or_else(|| DEFAULT_GRID_STATS.into());
-    // Shard filtering happens after `all` expansion so every worker sees
-    // the same canonical list. An empty shard (more shards than figures)
-    // is legal: the worker journals its header and exits cleanly.
-    let mut ids = args.ids.clone();
-    if let Some(spec) = args.shard {
-        ids = thermometer_bench::shard::shard_ids(&ids, spec);
-        eprintln!("shard {spec}: {} figure(s)", ids.len());
-    }
+    let ids = &args.ids;
 
     if let Some(plan) = args.plan() {
         fault::install(plan);
-        let number = args.shard.map_or(1, |s| s.number) as u64;
-        if let Some(armed) = fault::arm(number, args.attempt, journal_path.clone()) {
+        if let Some(armed) = fault::arm(args.attempt, journal_path.clone()) {
             eprintln!(
-                "process fault armed: {} after {} cell(s) (shard {number}, attempt {})",
+                "process fault armed: {} after {} cell(s) (attempt {})",
                 armed.kind.name(),
                 armed.after_cells,
                 args.attempt
@@ -236,7 +185,7 @@ fn run_worker(args: WorkerArgs) {
     );
 
     // Checkpoint journal: resume loads it, everything else starts fresh.
-    let fingerprint = journal::run_fingerprint(&scale, &ids);
+    let fingerprint = journal::run_fingerprint(&scale, ids);
     let journal_name = journal_path.display();
     let journal = Journal::new(&journal_path);
     let loaded = if args.resume {
@@ -283,7 +232,7 @@ fn run_worker(args: WorkerArgs) {
 
     let mut replayed_count = 0usize;
     let mut sections: Vec<String> = Vec::new();
-    for id in &ids {
+    for id in ids {
         if let Some(figure) = replayed.figure(id) {
             print!("{}", figure.display);
             sections.push(figure.markdown.clone());
@@ -344,18 +293,19 @@ fn run_worker(args: WorkerArgs) {
     }
 
     if let Some(path) = &args.markdown {
-        let mut out = merge::report_prologue(&scale);
-        for section in &sections {
-            out.push_str(section);
-        }
-        // Atomic + bounded retry: a kill can truncate neither report, and
-        // injected transient I/O faults are retried rather than fatal.
-        fsio::write_atomic_retry(path, out.as_bytes(), 3).unwrap_or_else(|e| {
-            eprintln!("failed to write {}: {e}", path.display());
-            std::process::exit(1);
-        });
-        eprintln!("wrote {}", path.display());
+        write_report(path, &merge::report(&scale, &sections, &[], ""));
     }
+}
+
+/// Writes the markdown report, atomically and with a bounded retry: a kill
+/// can truncate no report, and injected transient I/O faults are retried
+/// rather than fatal. A write that still fails exits 1.
+fn write_report(path: &Path, report: &str) {
+    fsio::write_atomic_retry(path, report.as_bytes(), 3).unwrap_or_else(|e| {
+        eprintln!("failed to write {}: {e}", path.display());
+        std::process::exit(1);
+    });
+    eprintln!("wrote {}", path.display());
 }
 
 /// The run's scale; a malformed `THERMO_*` knob exits 2 with the message.

@@ -18,15 +18,14 @@
 //!
 //! Torn tail lines (a crash mid-append) are dropped by
 //! [`fsio::read_journal_lines`]; a record is only trusted once its
-//! newline hit the disk. [`Journal::load`] — the *owner* of the file —
-//! additionally truncates the torn bytes ([`fsio::repair_torn_tail`]) so
-//! the next append starts on a fresh line; read-only consumers (the sweep
-//! supervisor's progress watermark, `figures merge`) must never truncate a
-//! journal another process may still be writing.
-//!
-//! Figure records carry a content `hash` ([`figure_hash`] over the
-//! display + markdown bytes) so the sweep merge can reject a corrupted
-//! commit instead of splicing garbage into the merged report.
+//! newline hit the disk. Figure records carry a content `hash`
+//! ([`figure_hash`] over the display + markdown bytes), so a corrupted
+//! commit is recomputed instead of replayed. [`Journal::load`] is the one
+//! reader of the file, and as its owner it truncates the torn bytes
+//! ([`fsio::repair_torn_tail`]) and cuts everything else after the last
+//! trusted commit, so a resumed run's journal ends byte-identical to an
+//! uninterrupted run's too. It must not run while another process may
+//! still be appending.
 
 use std::io;
 use std::path::{Path, PathBuf};
@@ -102,10 +101,14 @@ impl Journal {
     /// from scratch — when the file is missing, the header is absent or
     /// unreadable, the version is foreign, or the fingerprint does not
     /// match the current run configuration.
+    ///
+    /// As the file's owner, `load` also canonicalises it: it truncates a
+    /// torn tail, then cuts everything else after the last trusted figure
+    /// commit — cells of a figure that never committed, and everything
+    /// from the first malformed or hash-mismatched commit on. A run that appends the
+    /// remaining figures in canonical order then leaves a journal
+    /// byte-identical to an uninterrupted run's.
     pub fn load(&self, fingerprint: &str) -> io::Result<Option<Loaded>> {
-        // We own this file: truncate any torn tail from a crashed append so
-        // the records we write next start on a fresh line instead of being
-        // concatenated onto the fragment.
         fsio::repair_torn_tail(&self.path)?;
         let lines = fsio::read_journal_lines(&self.path)?;
         let Some(header) = lines.first() else {
@@ -115,10 +118,12 @@ impl Journal {
             return Ok(None);
         }
         let mut loaded = Loaded::default();
-        // Cells journal ahead of their figure record; only cells whose
-        // figure committed are trusted (the rest recompute anyway).
+        // Cells journal ahead of their figure record: every cell since the
+        // previous commit belongs to the next one (`fig19` commits the
+        // cells of two grids), and only cells of a trusted commit count.
         let mut pending_quarantine: Vec<Quarantined> = Vec::new();
-        for line in &lines[1..] {
+        let mut trusted = 1;
+        for (i, line) in lines.iter().enumerate().skip(1) {
             match field_str(line, "kind").as_deref() {
                 Some("cell") => {
                     if field_str(line, "status").as_deref() != Some("quarantined") {
@@ -146,24 +151,22 @@ impl Journal {
                     });
                 }
                 Some("figure") => {
-                    let (Some(id), Some(display), Some(markdown)) = (
+                    let (Some(id), Some(display), Some(markdown), Some(hash)) = (
                         field_str(line, "id"),
                         field_str(line, "display"),
                         field_str(line, "markdown"),
+                        field_u64(line, "hash"),
                     ) else {
-                        continue;
+                        break;
                     };
                     // A commit whose content hash disagrees with its bytes
-                    // was corrupted on disk: recompute rather than replay.
-                    if let Some(h) = field_u64(line, "hash") {
-                        if h != figure_hash(&display, &markdown) {
-                            pending_quarantine.retain(|q| q.figure != id);
-                            continue;
-                        }
+                    // was corrupted on disk: it and everything after it
+                    // recompute rather than replay.
+                    if hash != figure_hash(&display, &markdown) {
+                        break;
                     }
-                    loaded
-                        .quarantined
-                        .extend(pending_quarantine.extract_if(.., |q| q.figure == id));
+                    trusted = i + 1;
+                    loaded.quarantined.append(&mut pending_quarantine);
                     loaded.figures.push(ReplayFigure {
                         id,
                         display,
@@ -173,7 +176,23 @@ impl Journal {
                 _ => {}
             }
         }
+        self.keep_lines(&lines[..trusted])?;
         Ok(Some(loaded))
+    }
+
+    /// Cuts the file down to `lines`, a prefix of its complete lines, with
+    /// an atomic rewrite; a file that already holds exactly them is left
+    /// alone.
+    fn keep_lines(&self, lines: &[String]) -> io::Result<()> {
+        let mut kept = String::new();
+        for line in lines {
+            kept.push_str(line);
+            kept.push('\n');
+        }
+        if std::fs::metadata(&self.path)?.len() != kept.len() as u64 {
+            fsio::write_atomic(&self.path, kept.as_bytes())?;
+        }
+        Ok(())
     }
 
     /// Appends one cell outcome (called from the grid's cell hook, in
@@ -245,15 +264,14 @@ pub fn run_fingerprint(scale: &crate::Scale, ids: &[String]) -> String {
 
 /// Whether a journal header line is this format version and carries the
 /// expected run fingerprint.
-pub(crate) fn header_matches(header: &str, fingerprint: &str) -> bool {
+fn header_matches(header: &str, fingerprint: &str) -> bool {
     field_str(header, "kind").as_deref() == Some("run")
         && field_u64(header, "version") == Some(u64::from(VERSION))
         && field_str(header, "fingerprint").as_deref() == Some(fingerprint)
 }
 
-/// The exact header line [`Journal::start`] writes — shared with the sweep
-/// merge so a merged journal is byte-identical to a serial run's.
-pub(crate) fn header_line(fingerprint: &str) -> String {
+/// The exact header line [`Journal::start`] writes.
+fn header_line(fingerprint: &str) -> String {
     format!(
         "{{\"kind\":\"run\",\"version\":{VERSION},\"fingerprint\":\"{}\"}}",
         json_escape(fingerprint)
@@ -261,7 +279,7 @@ pub(crate) fn header_line(fingerprint: &str) -> String {
 }
 
 /// The exact figure-commit line [`Journal::append_figure`] writes.
-pub(crate) fn figure_line(id: &str, display: &str, markdown: &str) -> String {
+fn figure_line(id: &str, display: &str, markdown: &str) -> String {
     format!(
         "{{\"kind\":\"figure\",\"id\":\"{}\",\"hash\":{},\"display\":\"{}\",\"markdown\":\"{}\"}}",
         json_escape(id),
@@ -280,7 +298,7 @@ pub fn figure_hash(display: &str, markdown: &str) -> u64 {
 }
 
 /// Extracts `"key":"…"` from one journal line, undoing [`json_escape`].
-pub(crate) fn field_str(line: &str, key: &str) -> Option<String> {
+fn field_str(line: &str, key: &str) -> Option<String> {
     let marker = format!("\"{key}\":\"");
     let start = line.find(&marker)? + marker.len();
     let bytes = line.as_bytes();
@@ -320,7 +338,7 @@ pub(crate) fn field_str(line: &str, key: &str) -> Option<String> {
 }
 
 /// Extracts `"key":123` from one journal line.
-pub(crate) fn field_u64(line: &str, key: &str) -> Option<u64> {
+fn field_u64(line: &str, key: &str) -> Option<u64> {
     let marker = format!("\"{key}\":");
     let start = line.find(&marker)? + marker.len();
     let digits: String = line[start..]
@@ -462,6 +480,60 @@ mod tests {
         assert!(
             loaded.figure("fig01").is_none(),
             "hash mismatch must not replay"
+        );
+    }
+
+    /// Journals `id`'s two cells, then (with `commit`) its figure record.
+    fn journal_figure(journal: &Journal, id: &str, commit: bool) {
+        for index in 0..2 {
+            journal
+                .append_cell(&CellOutcome::Completed(&stat(id, index)))
+                .unwrap();
+        }
+        if commit {
+            let display = format!("## {id}\n");
+            journal.append_figure(id, &display, "| m |\n").unwrap();
+        }
+    }
+
+    #[test]
+    fn load_cuts_to_the_last_trusted_commit_so_resume_matches_an_uninterrupted_run() {
+        use std::io::Write as _;
+        let ids = ["fig01", "fig02", "fig03", "fig04"];
+        let reference = Journal::new(scratch("canonical-reference.jsonl"));
+        reference.start("fp").unwrap();
+        for id in ids {
+            journal_figure(&reference, id, true);
+        }
+
+        let path = scratch("canonical-resumed.jsonl");
+        let journal = Journal::new(&path);
+        journal.start("fp").unwrap();
+        journal_figure(&journal, "fig01", true);
+        // fig02's commit is corrupted on disk; fig03 committed after it,
+        // then the run died in fig04, mid-append.
+        journal_figure(&journal, "fig02", true);
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::write(&path, text.replace("## fig02", "## fig2!")).unwrap();
+        journal_figure(&journal, "fig03", true);
+        journal_figure(&journal, "fig04", false);
+        let mut f = std::fs::OpenOptions::new()
+            .append(true)
+            .open(&path)
+            .unwrap();
+        f.write_all(b"{\"kind\":\"cell\",\"fig").unwrap();
+        drop(f);
+
+        let loaded = journal.load("fp").unwrap().expect("fingerprint matches");
+        let replayed: Vec<&str> = loaded.figures.iter().map(|f| f.id.as_str()).collect();
+        assert_eq!(replayed, ["fig01"], "trust ends at the corrupt commit");
+        for id in &ids[1..] {
+            journal_figure(&journal, id, true);
+        }
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            std::fs::read(reference.path()).unwrap(),
+            "resumed journal differs from the uninterrupted one"
         );
     }
 

@@ -22,18 +22,14 @@ pub mod grid;
 pub mod journal;
 pub mod merge;
 pub mod scale;
-pub mod shard;
-pub mod sweep;
+pub mod supervise;
 pub mod text;
 
 pub use args::WorkerArgs;
 pub use figures::{all_figures, figure_by_id, FIGURE_IDS};
 pub use grid::{run_cells, CellStat, FaultPolicy, Quarantined};
 pub use journal::Journal;
-pub use merge::{merge_shards, MergeOutcome};
 pub use scale::Scale;
-pub use shard::ShardSpec;
-pub use sweep::{run_sweep, SweepConfig, SweepReport};
 pub use text::{FigureResult, Row};
 
 use std::sync::Arc;

@@ -48,11 +48,11 @@ fn parse_args() -> Result<(ServerConfig, Option<PathBuf>), String> {
             "--addr-file" => addr_file = Some(args.value()?.into()),
             "--data-dir" => data_dir = Some(args.value()?.into()),
             "--shards" => store.shards = args.at_least(1)?,
-            "--workers" => server.workers = args.parse()?,
+            "--workers" => server.workers = args.at_least(1)?,
             "--watermark" => store.watermark = args.parse()?,
             "--drain-per-health" => store.drain_per_health = args.parse()?,
-            "--read-timeout-ms" => server.read_timeout_ms = args.parse()?,
-            "--idle-ticks" => server.idle_ticks = args.parse()?,
+            "--read-timeout-ms" => server.read_timeout_ms = args.at_least(1)?,
+            "--idle-ticks" => server.idle_ticks = args.at_least(1)?,
             "--btb-entries" => btb_entries = args.at_least(1)?,
             "--btb-ways" => btb_ways = args.at_least(1)?,
             "--fault-plan" => {

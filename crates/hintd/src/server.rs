@@ -108,7 +108,7 @@ impl HintServer {
                 write_timeout_ms: config.write_timeout_ms.max(1),
                 idle_ticks: config.idle_ticks.max(1),
             };
-            let workers = config.workers.max(1);
+            let workers = config.workers;
             thread::Builder::new()
                 .name("hintd-accept".to_owned())
                 .spawn(move || {

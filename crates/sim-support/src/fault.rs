@@ -36,14 +36,15 @@
 //! | `panic-rate=P:CLASS`              | cell    | every cell panics with probability `P` |
 //! | `io=PATTERN:K`                    | write   | first `K` writes to paths containing `PATTERN` fail |
 //! | `exit-after=N`                    | process | every process dies after `N` journaled cells |
-//! | `proc=SHARD:ATTEMPT:KIND[:AFTER]` | process | one shard attempt does `KIND` after `AFTER` cells |
+//! | `proc=SHARD:ATTEMPT:KIND[:AFTER]` | process | one worker attempt does `KIND` after `AFTER` cells |
 //! | `net=CONN:OP:KIND[:ARGS][:CLASS]` | frame   | client frame `OP` on connection `CONN` is injured |
 //!
 //! * `CLASS` is `transient` (a cell fault fires on attempt 0 only — a
 //!   retry succeeds), `poison` (fires on every attempt), or `fatal`.
 //!   Injected write failures are transient.
-//! * `proc=`: `SHARD` is 1-based, as in `--shard i/N`; `ATTEMPT` is
-//!   0-based; `AFTER` defaults to 1. `KIND` is `die` (exit 86), `hang`,
+//! * `proc=`: `SHARD` must be 1, because `figures supervise` runs one
+//!   worker per grid; the field keeps specs in the old grammar readable.
+//!   `ATTEMPT` is the worker's 0-based `--attempt`; `AFTER` defaults to 1. `KIND` is `die` (exit 86), `hang`,
 //!   `torn` (tear the journal tail, then exit 86) or `garbage` (garbage on
 //!   stdout, then exit 0). `exit-after=N` is a `die` after `N` cells.
 //! * `net=`: `KIND` is `drop`, `delay:MS` (`MS` ≤ 10 000), `trunc:N` (only
@@ -52,7 +53,7 @@
 //! * `P` lies in `[0, 1]`; `N` and `AFTER` are ≥ 1. `seed`, `panic-rate`,
 //!   `io` and `exit-after` may each appear once; `panic`, `proc` and `net`
 //!   repeat. A lookup takes the first entry that matches its site, and
-//!   `exit-after` matches every `(shard, attempt)`.
+//!   `exit-after` matches every attempt.
 
 use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -223,11 +224,11 @@ struct CellPoint {
     class: FaultClass,
 }
 
-/// A process fault and the `(shard, attempt)` it is addressed to; `None`
-/// addresses every process (`exit-after=N`).
+/// A process fault and the attempt it is addressed to; `None` addresses
+/// every process (`exit-after=N`).
 #[derive(Clone, Debug, PartialEq, Eq)]
 struct ProcPoint {
-    at: Option<(u64, u32)>,
+    at: Option<u32>,
     fault: ProcFault,
 }
 
@@ -329,8 +330,10 @@ impl FaultPlan {
                 }),
                 "proc" => {
                     let shard: u64 = fields.num("shard number")?;
-                    if shard == 0 {
-                        return Err(fields.error("shards are 1-based (as in --shard i/N)"));
+                    if shard != 1 {
+                        return Err(
+                            fields.error("SHARD must be 1: figures supervise runs a single worker")
+                        );
                     }
                     let attempt: u32 = fields.num("attempt index")?;
                     let kind = match fields.next("kind")? {
@@ -342,7 +345,7 @@ impl FaultPlan {
                     };
                     let after_cells = if fields.is_done() { 1 } else { fields.cells()? };
                     plan.proc_points.push(ProcPoint {
-                        at: Some((shard, attempt)),
+                        at: Some(attempt),
                         fault: ProcFault { kind, after_cells },
                     });
                 }
@@ -419,15 +422,15 @@ impl FaultPlan {
             .map(|(_, _, fault)| *fault)
     }
 
-    /// The process fault planned for `(shard, attempt)`, if any: the first
-    /// `proc=` entry addressed to those coordinates or an `exit-after`
-    /// entry, whichever the spec lists first. A restart (next attempt) is
-    /// a different key — typically clean, letting a sweep converge;
-    /// listing every attempt simulates a poison shard.
-    pub fn proc_fault(&self, shard: u64, attempt: u32) -> Option<ProcFault> {
+    /// The process fault planned for worker `attempt`, if any: the first
+    /// `proc=` entry addressed to it or an `exit-after` entry, whichever
+    /// the spec lists first. A restart (next attempt) is a different key —
+    /// typically clean, letting the supervised run converge; listing every
+    /// attempt simulates a worker that never finishes.
+    pub fn proc_fault(&self, attempt: u32) -> Option<ProcFault> {
         self.proc_points
             .iter()
-            .find(|p| p.at.is_none_or(|at| at == (shard, attempt)))
+            .find(|p| p.at.is_none_or(|at| at == attempt))
             .map(|p| p.fault.clone())
     }
 }
@@ -482,7 +485,7 @@ struct ActivePlan {
     /// Cells journaled (or hintd batches accepted) since [`install`].
     cells_completed: u64,
     /// The process fault [`cell_completed`] fires — at most one per
-    /// process (one worker = one shard attempt) — and the journal a
+    /// process (one worker = one attempt) — and the journal a
     /// [`ProcFaultKind::TornJournal`] fault tears.
     armed: Option<ProcFault>,
     journal: Option<PathBuf>,
@@ -508,14 +511,14 @@ pub fn install(plan: FaultPlan) {
     });
 }
 
-/// Arms the installed plan's process fault for this worker's
-/// `(shard, attempt)` ([`FaultPlan::proc_fault`]) in place of the one
-/// [`install`] armed; `journal` is the file a torn fault tears. Returns
-/// the armed fault; without an installed plan nothing is armed.
-pub fn arm(shard: u64, attempt: u32, journal: PathBuf) -> Option<ProcFault> {
+/// Arms the installed plan's process fault for this worker's `attempt`
+/// ([`FaultPlan::proc_fault`]) in place of the one [`install`] armed;
+/// `journal` is the file a torn fault tears. Returns the armed fault;
+/// without an installed plan nothing is armed.
+pub fn arm(attempt: u32, journal: PathBuf) -> Option<ProcFault> {
     let mut guard = PLAN.lock().expect("fault plan registry poisoned");
     let active = guard.as_mut()?;
-    active.armed = active.plan.proc_fault(shard, attempt);
+    active.armed = active.plan.proc_fault(attempt);
     active.journal = Some(journal);
     active.armed.clone()
 }
@@ -552,7 +555,7 @@ pub fn cell_attempt(figure: &str, index: usize, attempt: u32) {
 /// Crash checkpoint, called once per journaled grid cell (or accepted
 /// hintd batch): counts it and, once the armed process fault's threshold
 /// is reached, performs the planned failure — simulating a mid-run crash
-/// for the resume tests, the hintd crash battery and the shard-supervisor
+/// for the resume tests, the hintd crash battery and the supervisor
 /// battery. Never returns when a fault fires.
 pub fn cell_completed() {
     let (fault, journal, done) = {
@@ -746,15 +749,15 @@ pub struct NetFault {
     pub class: FaultClass,
 }
 
-/// A process-level fault: how a sharded-sweep worker process dies (or
+/// A process-level fault: how a supervised worker process dies (or
 /// misbehaves) once it has journaled `after_cells` grid cells. Unlike a
 /// plan's cell faults — which panic *inside* a cell and are healed by
-/// `fault::isolated` — these simulate the failure modes a shard
+/// `fault::isolated` — these simulate the failure modes a worker
 /// **supervisor** must survive: the whole worker disappearing, wedging,
 /// or lying about success.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ProcFaultKind {
-    /// `process::exit(CRASH_EXIT_CODE)` mid-sweep — the moral equivalent of
+    /// `process::exit(CRASH_EXIT_CODE)` mid-run — the moral equivalent of
     /// an OOM kill or `kill -9`; the fsync'd journal is all that survives.
     Die,
     /// The worker stops making progress but never exits: an infinite
@@ -766,7 +769,7 @@ pub enum ProcFaultKind {
     /// dies — the on-disk state a power loss mid-`write(2)` leaves behind.
     TornJournal,
     /// The worker prints garbage to stdout and exits **0** without
-    /// finishing its shard: a false success the supervisor must catch via
+    /// finishing its figures: a false success the supervisor must catch via
     /// journal-coverage verification, never via exit status.
     GarbageStdout,
 }
@@ -952,9 +955,9 @@ mod tests {
             kind: ProcFaultKind::Die,
             after_cells: 5,
         });
-        assert_eq!(with_exit.proc_fault(1, 0), die_after_5);
+        assert_eq!(with_exit.proc_fault(0), die_after_5);
         assert_eq!(
-            with_exit.proc_fault(7, 3),
+            with_exit.proc_fault(3),
             die_after_5,
             "exit-after addresses every process"
         );
@@ -1109,22 +1112,22 @@ mod tests {
     #[test]
     fn proc_fault_plan_round_trips_the_grammar() {
         let plan =
-            FaultPlan::parse("proc=2:0:die:3,proc=1:0:hang:2,proc=3:1:torn,proc=4:0:garbage")
+            FaultPlan::parse("proc=1:0:die:3,proc=1:1:hang:2,proc=1:2:torn,proc=1:3:garbage")
                 .expect("valid spec");
         assert_eq!(plan.proc_points.len(), 4);
         assert_eq!(
-            plan.proc_fault(2, 0),
+            plan.proc_fault(0),
             Some(ProcFault {
                 kind: ProcFaultKind::Die,
                 after_cells: 3,
             })
         );
         assert_eq!(
-            plan.proc_fault(1, 0).map(|f| f.kind),
+            plan.proc_fault(1).map(|f| f.kind),
             Some(ProcFaultKind::Hang)
         );
         assert_eq!(
-            plan.proc_fault(3, 1),
+            plan.proc_fault(2),
             Some(ProcFault {
                 kind: ProcFaultKind::TornJournal,
                 after_cells: 1,
@@ -1132,19 +1135,18 @@ mod tests {
             "AFTER defaults to 1"
         );
         assert_eq!(
-            plan.proc_fault(4, 0).map(|f| f.kind),
+            plan.proc_fault(3).map(|f| f.kind),
             Some(ProcFaultKind::GarbageStdout)
         );
-        // Keyed by (shard, attempt): a restart of shard 2 is clean.
-        assert_eq!(plan.proc_fault(2, 1), None);
-        assert_eq!(plan.proc_fault(5, 0), None, "unplanned shard is clean");
+        // Keyed by attempt: an unplanned restart is clean.
+        assert_eq!(plan.proc_fault(4), None, "unplanned attempt is clean");
         assert!(FaultPlan::parse("").unwrap().proc_points.is_empty());
 
         assert!(FaultPlan::parse("proc=1:die").is_err(), "missing attempt");
-        assert!(
-            FaultPlan::parse("proc=0:0:die").is_err(),
-            "shards are 1-based"
-        );
+        for spec in ["proc=0:0:die", "proc=2:0:die"] {
+            let err = FaultPlan::parse(spec).expect_err(spec);
+            assert!(err.contains("SHARD must be 1"), "{spec}: {err}");
+        }
         assert!(
             FaultPlan::parse("proc=1:0:explode").is_err(),
             "unknown kind"
@@ -1159,9 +1161,9 @@ mod tests {
     #[test]
     fn proc_fault_lookup_is_deterministic_and_first_match_wins() {
         let plan = FaultPlan::parse("proc=1:0:die:5,proc=1:0:hang:9").unwrap();
-        let a = plan.proc_fault(1, 0);
-        let b = plan.proc_fault(1, 0);
-        assert_eq!(a, b, "same coordinates => same fault");
+        let a = plan.proc_fault(0);
+        let b = plan.proc_fault(0);
+        assert_eq!(a, b, "same attempt => same fault");
         assert_eq!(a.map(|f| f.kind), Some(ProcFaultKind::Die));
     }
 
@@ -1176,8 +1178,8 @@ mod tests {
         };
         install(FaultPlan::parse(&format!("proc=1:0:die:{}", u64::MAX)).unwrap());
         assert_eq!(armed(), None, "install arms only exit-after");
-        assert_eq!(arm(2, 0, PathBuf::from("unused")), None, "other shard");
-        let planned = arm(1, 0, PathBuf::from("unused")).expect("own coordinates");
+        assert_eq!(arm(1, PathBuf::from("unused")), None, "other attempt");
+        let planned = arm(0, PathBuf::from("unused")).expect("own attempt");
         assert_eq!(planned.after_cells, u64::MAX);
         // Threshold unreachable: the checkpoint must be a no-op.
         cell_completed();

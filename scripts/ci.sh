@@ -96,6 +96,9 @@ env "${smoke_env[@]}" ./target/release/figures fig01 fig09 fig17 \
     > "$ft_dir/resumed.out"
 cmp "$ft_dir/ref.md" "$ft_dir/resumed.md"
 cmp "$ft_dir/ref.out" "$ft_dir/resumed.out"
+# Journal::load cut the crashed run's uncommitted cells, so the resumed
+# journal equals the uninterrupted one too.
+cmp "$ft_dir/ref_journal.jsonl" "$ft_dir/journal.jsonl"
 
 echo "==> hintd loopback smoke (serve -> load -> kill -9 -> restart -> byte-identical dumps)"
 hintd_dir="$ft_dir/hintd"
@@ -141,44 +144,44 @@ env "${smoke_env[@]}" ./target/release/figures fig01 \
 grep -q '"class": "poison"' "$ft_dir/quarantine_stats.json"
 grep -q '"cells_quarantined": 1' "$ft_dir/quarantine_stats.json"
 
-echo "==> sharded sweep (4 shards, kill -9 one worker mid-sweep, restart, merge == serial bytes)"
-sweep_ids=(fig01 fig09 fig17 trrip hierarchy)
-sw_dir="$ft_dir/sweep"
-mkdir -p "$sw_dir"
-env "${smoke_env[@]}" ./target/release/figures "${sweep_ids[@]}" \
-    --threads 2 --markdown "$sw_dir/serial.md" --grid-stats "$sw_dir/serial_stats.json" \
-    --journal "$sw_dir/serial.jsonl" > "$sw_dir/serial.out" 2>/dev/null
-# Shard 2's first attempt wedges after 2 journaled cells (armed hang), so
-# the worker is guaranteed alive for the external SIGKILL. The stall
-# timeout is huge: only the kill -9 can clear the wedged shard.
-sweep_pid=""
-trap 'if [ -n "$sweep_pid" ]; then kill "$sweep_pid" 2>/dev/null || true; fi; rm -rf "$ft_dir"' EXIT
-env "${smoke_env[@]}" ./target/release/figures sweep "${sweep_ids[@]}" \
-    --shards 4 --dir "$sw_dir/shards" --threads 2 \
-    --fault-plan proc=2:0:hang:2 --stall-ticks 1000000 \
-    --markdown "$sw_dir/sweep.md" --journal "$sw_dir/sweep.jsonl" \
-    > "$sw_dir/sweep.out" 2> "$sw_dir/sweep.log" &
-sweep_pid=$!
-# Wait until shard 2 journaled both its cells (header + 2 lines): the hang
-# has engaged and the worker pid is stable — then kill -9 it.
+echo "==> supervised grid (kill -9 the wedged worker, restart, output == serial bytes)"
+sup_ids=(fig01 fig09 fig17 trrip hierarchy)
+sup_dir="$ft_dir/supervise"
+mkdir -p "$sup_dir"
+env "${smoke_env[@]}" ./target/release/figures "${sup_ids[@]}" \
+    --threads 2 --markdown "$sup_dir/serial.md" --grid-stats "$sup_dir/serial_stats.json" \
+    --journal "$sup_dir/serial.jsonl" > "$sup_dir/serial.out" 2>/dev/null
+# The worker's first attempt wedges after 2 journaled cells (armed hang),
+# so it is guaranteed alive for the external SIGKILL. The stall timeout
+# is huge: only the kill -9 can clear the wedged worker.
+sup_pid=""
+trap 'if [ -n "$sup_pid" ]; then kill "$sup_pid" 2>/dev/null || true; fi; rm -rf "$ft_dir"' EXIT
+sup_journal="$sup_dir/supervised.jsonl"
+env "${smoke_env[@]}" ./target/release/figures supervise "${sup_ids[@]}" \
+    --threads 2 --fault-plan proc=1:0:hang:2 --stall-ms 100000000 \
+    --markdown "$sup_dir/supervised.md" --journal "$sup_journal" \
+    --grid-stats "$sup_dir/supervised_stats.json" \
+    > "$sup_dir/supervised.out" 2> "$sup_dir/supervise.log" &
+sup_pid=$!
+# Wait until the worker journaled both its cells (header + 2 lines): the
+# hang has engaged and the worker pid is stable — then kill -9 it.
 for _ in $(seq 1 600); do
-    if [ -f "$sw_dir/shards/shard-2.jsonl" ] \
-        && [ "$(wc -l < "$sw_dir/shards/shard-2.jsonl")" -ge 3 ]; then
+    if [ -f "$sup_journal" ] && [ "$(wc -l < "$sup_journal")" -ge 3 ]; then
         break
     fi
     sleep 0.1
 done
-[ "$(wc -l < "$sw_dir/shards/shard-2.jsonl")" -ge 3 ]
-kill -9 "$(cat "$sw_dir/shards/shard-2.pid")"
-# The supervisor sees the signal death, restarts shard 2 with --resume
-# (attempt 1 has no armed fault), and the sweep completes: exit 0 and all
-# three merged artifacts byte-identical to the serial run.
-wait "$sweep_pid"
-sweep_pid=""
-cmp "$sw_dir/serial.out" "$sw_dir/sweep.out"
-cmp "$sw_dir/serial.md" "$sw_dir/sweep.md"
-cmp "$sw_dir/serial.jsonl" "$sw_dir/sweep.jsonl"
-grep -q 'killed by a signal' "$sw_dir/shards/sweep_stats.json"
+[ "$(wc -l < "$sup_journal")" -ge 3 ]
+kill -9 "$(cat "$sup_journal.pid")"
+# The supervisor sees the signal death, restarts the worker with --resume
+# (attempt 1 has no armed fault), and completes: exit 0 and all three
+# artifacts byte-identical to the serial run.
+wait "$sup_pid"
+sup_pid=""
+cmp "$sup_dir/serial.out" "$sup_dir/supervised.out"
+cmp "$sup_dir/serial.md" "$sup_dir/supervised.md"
+cmp "$sup_dir/serial.jsonl" "$sup_journal"
+grep -q 'killed by a signal' "$sup_journal.supervise.json"
 
 echo "==> thermobench smoke (the benchmark's own argv to figures, tracegen, btbsim, hintd)"
 # thermobench drives the binaries with command lines of its own; a parser

@@ -10,9 +10,9 @@
 
 use std::sync::Mutex; // simlint: allow(D03) -- serializes tests that flip process-global config
 
-use sim_support::{forall, pool};
+use sim_support::pool;
 use thermometer_bench::figures::memo;
-use thermometer_bench::{figure_by_id, grid, journal, merge, shard, Journal, Scale};
+use thermometer_bench::{figure_by_id, grid, Scale};
 
 /// Serializes the tests in this binary: they flip process-global executor
 /// configuration.
@@ -104,136 +104,6 @@ fn permuted_cell_execution_order_is_invisible() {
         grid::run_cells("order-probe", &items, |i| i.to_string(), draw)
     });
     assert_eq!(a, b, "cell RNG streams depend on execution order");
-}
-
-/// The `--shard i/N` partition the sweep supervisor relies on: for any
-/// list length and any N in 1..=8, the shards are **disjoint** (no index
-/// appears twice), **exhaustive** (every index appears), and **stable**
-/// (recomputing yields the same partition).
-#[test]
-fn shard_partitions_are_disjoint_exhaustive_and_stable() {
-    forall!(
-        cases: 96,
-        gen: |rng| {
-            let len = rng.gen_range(0..48u64) as usize;
-            let n = rng.gen_range(1..=8u64) as usize;
-            (len, n)
-        },
-        prop: |&(len, n): &(usize, usize)| {
-            let mut seen = vec![0u32; len];
-            for number in 1..=n {
-                let indices = shard::shard_indices(len, number, n);
-                assert_eq!(
-                    indices,
-                    shard::shard_indices(len, number, n),
-                    "partition not stable for len={len}, shard {number}/{n}"
-                );
-                for k in indices {
-                    seen[k] += 1;
-                }
-            }
-            for (k, count) in seen.iter().enumerate() {
-                assert_eq!(
-                    *count, 1,
-                    "index {k} covered {count} times across {n} shard(s) of {len}"
-                );
-            }
-        },
-    );
-}
-
-/// Builds the journal a `--shard number/count` worker would produce for
-/// `ids`, in-process: per-cell hook lines plus hash-stamped figure commits.
-fn write_shard_journal(
-    dir: &std::path::Path,
-    scale: &Scale,
-    ids: &[String],
-    number: usize,
-    count: usize,
-) {
-    let spec = shard::ShardSpec { number, count };
-    let sub = shard::shard_ids(ids, spec);
-    let path = merge::shard_journal_path(dir, number);
-    let journal = Journal::new(&path);
-    journal
-        .start(&journal::run_fingerprint(scale, &sub))
-        .expect("start shard journal");
-    let hook_journal = Journal::new(&path);
-    grid::set_cell_hook(Some(Box::new(move |outcome| {
-        hook_journal.append_cell(&outcome).expect("journal append");
-    })));
-    for id in &sub {
-        let mut display = String::new();
-        let mut markdown = String::new();
-        for fig in figure_by_id(id, scale).expect("known figure id") {
-            display.push_str(&format!("{fig}\n"));
-            markdown.push_str(&fig.to_markdown());
-        }
-        journal
-            .append_figure(id, &display, &markdown)
-            .expect("commit figure");
-    }
-    grid::set_cell_hook(None);
-}
-
-/// Satellite of ISSUE 10: merging shard journals is invariant to the
-/// order the shards ran in — byte-for-byte. Shards are produced in
-/// canonical order and in a permuted order into two directories; the two
-/// merges (journal bytes, report, display) must be identical.
-#[test]
-fn merge_of_permuted_shard_order_is_byte_identical() {
-    let _exclusive = EXCLUSIVE.lock().unwrap_or_else(|e| e.into_inner());
-    let _reset = ResetThreads;
-    pool::set_threads(1);
-    let scale = Scale::smoke();
-    let ids: Vec<String> = ["fig01", "fig06", "fig09", "fig15", "fig19"]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-    let shards = 3;
-    let base = std::env::temp_dir().join("grid-parallel-merge-tests");
-    let canonical = base.join("canonical");
-    let permuted = base.join("permuted");
-    for dir in [&canonical, &permuted] {
-        let _ = std::fs::remove_dir_all(dir);
-        std::fs::create_dir_all(dir).expect("scratch dir");
-    }
-
-    for number in 1..=shards {
-        write_shard_journal(&canonical, &scale, &ids, number, shards);
-    }
-    for number in [2, 3, 1] {
-        write_shard_journal(&permuted, &scale, &ids, number, shards);
-    }
-
-    let a = merge::merge_shards(&scale, &ids, shards, &canonical);
-    let b = merge::merge_shards(&scale, &ids, shards, &permuted);
-    assert!(
-        a.is_complete(),
-        "canonical merge incomplete: {:?}",
-        a.missing
-    );
-    assert!(
-        b.is_complete(),
-        "permuted merge incomplete: {:?}",
-        b.missing
-    );
-    assert_eq!(a.journal_bytes(), b.journal_bytes(), "journal bytes differ");
-    assert_eq!(a.report(&scale), b.report(&scale), "reports differ");
-    assert_eq!(a.display, b.display, "display output differs");
-    // And the merged journal is not a near-miss: it replays through the
-    // normal resume path under the full-run fingerprint.
-    let merged_path = canonical.join("merged.jsonl");
-    std::fs::write(&merged_path, a.journal_bytes()).expect("write merged journal");
-    let loaded = Journal::new(&merged_path)
-        .load(&journal::run_fingerprint(&scale, &ids))
-        .expect("read merged journal")
-        .expect("fingerprint matches");
-    assert_eq!(
-        loaded.figures.len(),
-        ids.len(),
-        "merged journal must replay fully"
-    );
 }
 
 /// The observability registry records one stat per cell, in canonical order,

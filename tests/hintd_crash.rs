@@ -344,6 +344,17 @@ fn bad_fault_plan_exits_2_in_hintd_and_hintload() {
             serve(&["--btb-ways", "0"]),
             "--btb-ways must be >= 1",
         ),
+        (hintd, serve(&["--workers", "0"]), "--workers must be >= 1"),
+        (
+            hintd,
+            serve(&["--read-timeout-ms", "0"]),
+            "--read-timeout-ms must be >= 1",
+        ),
+        (
+            hintd,
+            serve(&["--idle-ticks", "0"]),
+            "--idle-ticks must be >= 1",
+        ),
     ];
     for (i, (bin, args, message)) in cases.into_iter().enumerate() {
         let (code, stderr) = run_bounded(bin, &args, &dir.join(format!("stderr-{i}")));

@@ -1,18 +1,20 @@
-//! End-to-end battery for `figures sweep` (DESIGN.md §13): a real fleet of
-//! worker processes, deterministic process-level fault injection, and
+//! End-to-end battery for `figures supervise` (DESIGN.md §13): one real
+//! worker process, deterministic process-level fault injection, and
 //! byte-compares against a serial `figures` run.
 //!
 //! Everything here drives the actual `figures` binary
 //! (`CARGO_BIN_EXE_figures`) at a tiny scale. The scale env is set
 //! explicitly on every command so the host environment cannot skew the
 //! fingerprints, and each test works in its own scratch directory, so the
-//! tests are free to run in parallel.
+//! tests are free to run in parallel. The supervisor kills and reaps its
+//! worker before it exits, so no test leaves a worker running.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
-/// The figure subset the battery sweeps: small enough to be fast, sized so
-/// a 4-shard sweep gets uneven shards (2/1/1/1) and wrap-around.
+/// The figure subset the battery runs: small enough to be fast. At the
+/// pinned scale fig01, fig02 and fig09 journal two cells each, fig06 and
+/// fig07 one.
 const IDS: [&str; 5] = ["fig01", "fig02", "fig06", "fig07", "fig09"];
 
 fn scratch(name: &str) -> PathBuf {
@@ -22,6 +24,10 @@ fn scratch(name: &str) -> PathBuf {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("scratch dir");
     dir
+}
+
+fn path_str(path: &Path) -> String {
+    path.to_str().expect("utf-8 scratch path").to_owned()
 }
 
 /// Runs the `figures` binary with the pinned tiny scale.
@@ -48,13 +54,12 @@ fn serial_reference(dir: &Path) -> (Vec<u8>, Vec<u8>, Vec<u8>) {
 fn serial_reference_with(dir: &Path, extra: &[&str]) -> (Vec<u8>, Vec<u8>, Vec<u8>) {
     let md = dir.join("serial.md");
     let journal = dir.join("serial.jsonl");
-    let stats = dir.join("serial_stats.json");
-    let mut args: Vec<&str> = IDS.to_vec();
     let (md_s, journal_s, stats_s) = (
-        md.to_str().unwrap().to_owned(),
-        journal.to_str().unwrap().to_owned(),
-        stats.to_str().unwrap().to_owned(),
+        path_str(&md),
+        path_str(&journal),
+        path_str(&dir.join("serial_stats.json")),
     );
+    let mut args: Vec<&str> = IDS.to_vec();
     args.extend([
         "--markdown",
         &md_s,
@@ -73,34 +78,38 @@ fn serial_reference_with(dir: &Path, extra: &[&str]) -> (Vec<u8>, Vec<u8>, Vec<u
     )
 }
 
-/// Runs a sweep into `dir` with extra flags; returns the raw output plus
-/// the merged markdown/journal bytes.
-fn sweep(dir: &Path, shards: &str, extra: &[&str]) -> (Output, Vec<u8>, Vec<u8>) {
-    let md = dir.join("sweep.md");
-    let journal = dir.join("sweep.jsonl");
-    let sweep_dir = dir.join("shards");
-    let (md_s, journal_s, dir_s) = (
-        md.to_str().unwrap().to_owned(),
-        journal.to_str().unwrap().to_owned(),
-        sweep_dir.to_str().unwrap().to_owned(),
+/// Runs `figures supervise` over [`IDS`] into `dir` with extra flags;
+/// returns the raw output plus the markdown and journal bytes. The
+/// journal is `dir/supervised.jsonl`, so the supervisor's own files are
+/// `dir/supervised.jsonl.*`.
+fn supervise(dir: &Path, extra: &[&str]) -> (Output, Vec<u8>, Vec<u8>) {
+    let md = dir.join("supervised.md");
+    let journal = dir.join("supervised.jsonl");
+    let (md_s, journal_s, stats_s) = (
+        path_str(&md),
+        path_str(&journal),
+        path_str(&dir.join("supervised_stats.json")),
     );
-    let mut args: Vec<&str> = vec!["sweep"];
+    let mut args: Vec<&str> = vec!["supervise"];
     args.extend(IDS);
     args.extend([
-        "--shards",
-        shards,
-        "--dir",
-        &dir_s,
         "--markdown",
         &md_s,
         "--journal",
         &journal_s,
+        "--grid-stats",
+        &stats_s,
     ]);
     args.extend(extra);
     let out = figures(&args);
     let md_bytes = std::fs::read(&md).unwrap_or_default();
     let journal_bytes = std::fs::read(&journal).unwrap_or_default();
     (out, md_bytes, journal_bytes)
+}
+
+/// The supervisor's `supervise.json` for a run into `dir`.
+fn supervise_stats(dir: &Path) -> String {
+    std::fs::read_to_string(dir.join("supervised.jsonl.supervise.json")).expect("supervise.json")
 }
 
 fn assert_identical(
@@ -110,47 +119,53 @@ fn assert_identical(
 ) {
     assert!(
         out.status.success(),
-        "{context}: sweep exited {:?}\nstderr:\n{}",
+        "{context}: supervise exited {:?}\nstderr:\n{}",
         out.status,
         String::from_utf8_lossy(&out.stderr)
     );
     assert_eq!(&out.stdout, serial_out, "{context}: stdout differs");
     assert_eq!(md, serial_md, "{context}: markdown report differs");
-    assert_eq!(journal, serial_journal, "{context}: merged journal differs");
+    assert_eq!(journal, serial_journal, "{context}: journal differs");
 }
 
 #[test]
-fn four_shard_sweep_is_byte_identical_to_serial() {
+fn supervised_run_is_byte_identical_to_serial() {
     let dir = scratch("clean");
     let reference = serial_reference(&dir);
-    let result = sweep(&dir, "4", &[]);
-    assert_identical("clean 4-shard sweep", &reference, &result);
+    let result = supervise(&dir, &[]);
+    assert_identical("clean supervised run", &reference, &result);
+    let stats = supervise_stats(&dir);
+    assert!(stats.contains("\"attempts\": 1,"), "{stats}");
+    assert!(
+        !dir.join("supervised.jsonl.pid").exists(),
+        "pid file of a reaped worker left behind"
+    );
 }
 
 #[test]
 fn sweep_survives_die_torn_and_garbage_workers() {
     let dir = scratch("faulted");
     let reference = serial_reference(&dir);
-    // Shard 1 dies mid-cell, shard 2 tears its journal and dies, shard 3
-    // claims success it didn't earn — all on the first attempt; restarts
-    // are clean and must reconverge to the serial bytes.
-    let result = sweep(
+    // Attempt 0 dies mid-grid, attempt 1 tears its journal and dies,
+    // attempt 2 prints garbage and claims a success it didn't earn;
+    // attempt 3 is clean and must reconverge to the serial bytes, with
+    // none of the garbage on stdout.
+    let result = supervise(
         &dir,
-        "4",
         &[
             "--fault-plan",
-            "proc=1:0:die:1,proc=2:0:torn:1,proc=3:0:garbage:1",
+            "proc=1:0:die:1,proc=1:1:torn:1,proc=1:2:garbage:1",
+            "--max-restarts",
+            "3",
         ],
     );
-    assert_identical("die/torn/garbage sweep", &reference, &result);
-    let stats = std::fs::read_to_string(dir.join("shards/sweep_stats.json")).expect("sweep stats");
+    assert_identical("die/torn/garbage run", &reference, &result);
+    let stats = supervise_stats(&dir);
+    assert!(stats.contains("\"attempts\": 4,"), "{stats}");
+    assert!(stats.contains("\"complete\": true"), "{stats}");
     assert!(
-        stats.contains("\"attempts\": 2"),
-        "faulted shards should have restarted once:\n{stats}"
-    );
-    assert!(
-        stats.contains("\"complete\": true"),
-        "sweep not complete:\n{stats}"
+        stats.contains("exited 0 but the journal is missing"),
+        "garbage attempt believed:\n{stats}"
     );
 }
 
@@ -158,27 +173,16 @@ fn sweep_survives_die_torn_and_garbage_workers() {
 fn hung_worker_is_stall_killed_and_redispatched() {
     let dir = scratch("hang");
     let reference = serial_reference(&dir);
-    // Shard 2 wedges after its first journaled cell; only the journal
-    // watermark can detect it. Tight ticks keep the test fast; the
-    // straggler rule is disabled so the kill is attributably a stall.
-    let result = sweep(
+    // The worker wedges after its first journaled cell; only the journal
+    // heartbeat can detect it.
+    let result = supervise(
         &dir,
-        "4",
-        &[
-            "--fault-plan",
-            "proc=2:0:hang:1",
-            "--tick-ms",
-            "10",
-            "--stall-ticks",
-            "40",
-            "--straggler-factor",
-            "1000000",
-        ],
+        &["--fault-plan", "proc=1:0:hang:1", "--stall-ms", "1000"],
     );
-    assert_identical("hang sweep", &reference, &result);
-    let stats = std::fs::read_to_string(dir.join("shards/sweep_stats.json")).expect("sweep stats");
+    assert_identical("hang run", &reference, &result);
+    let stats = supervise_stats(&dir);
     assert!(
-        stats.contains("stalled: no journal progress"),
+        stats.contains("stalled: no journal progress for 1000 ms"),
         "stall kill not recorded:\n{stats}"
     );
 }
@@ -187,13 +191,13 @@ fn hung_worker_is_stall_killed_and_redispatched() {
 fn poison_shard_quarantines_and_report_degrades_to_incomplete() {
     let dir = scratch("poison");
     serial_reference(&dir);
-    // Shard 2 dies on every granted attempt: quarantine, not abort.
-    let (out, md, journal) = sweep(
+    // Every granted attempt dies after its third journaled cell: each one
+    // commits a little more, and restarts run out before fig09 commits.
+    let (out, md, journal) = supervise(
         &dir,
-        "4",
         &[
             "--fault-plan",
-            "proc=2:0:die:1,proc=2:1:die:1,proc=2:2:die:1",
+            "proc=1:0:die:3,proc=1:1:die:3,proc=1:2:die:3",
             "--max-restarts",
             "2",
         ],
@@ -201,70 +205,70 @@ fn poison_shard_quarantines_and_report_degrades_to_incomplete() {
     assert_eq!(
         out.status.code(),
         Some(3),
-        "degraded sweep must exit 3 (incomplete), got {:?}\nstderr:\n{}",
+        "degraded run must exit 3 (incomplete), got {:?}\nstderr:\n{}",
         out.status,
         String::from_utf8_lossy(&out.stderr)
     );
     let report = String::from_utf8(md).expect("utf-8 report");
     assert!(
-        report.contains("> **Status: incomplete**"),
+        report.contains("> **Status: incomplete** — 1 figure(s) missing"),
         "missing incomplete stamp:\n{report}"
     );
-    // Shard 2 of 4 owns exactly fig02 (index 1) under round-robin over IDS.
     assert!(
-        report.contains("`fig02` (shard 2/4)"),
-        "missing quarantine line for fig02:\n{report}"
+        report.contains("> - `fig09`"),
+        "missing figure not named:\n{report}"
     );
     assert!(
-        report.contains("shard quarantined after 3 attempt(s)"),
+        report.contains("the worker failed 3 attempt(s), the last with: exited with code 86"),
         "missing supervisor reason:\n{report}"
     );
-    // Survivors still render: fig01 is shard 1's and must be present.
     assert!(
         report.contains("fig01"),
         "survivor figures dropped:\n{report}"
     );
-    // The merged journal still carries the full-run fingerprint header and
-    // the surviving commits, so a serial --resume can finish the rest.
+    // The journal keeps the committed survivors under the run's header,
+    // so a serial --resume can finish the rest.
     let journal = String::from_utf8(journal).expect("utf-8 journal");
     assert!(
         journal.starts_with("{\"kind\":\"run\""),
         "journal header missing"
     );
     assert!(
-        journal.contains("\"id\":\"fig01\""),
+        journal.contains("\"id\":\"fig07\""),
         "surviving commit missing"
     );
     assert!(
-        !journal.contains("\"id\":\"fig02\""),
-        "quarantined figure leaked"
+        !journal.contains("\"id\":\"fig09\""),
+        "missing figure committed"
     );
+    let stats = supervise_stats(&dir);
+    assert!(stats.contains("\"complete\": false"), "{stats}");
+    assert!(stats.contains("\"missing\": [\"fig09\"]"), "{stats}");
 }
 
 #[test]
 fn resume_from_degraded_merge_completes_serially() {
     let dir = scratch("resume-after-degrade");
     let reference = serial_reference(&dir);
-    let (out, _, _) = sweep(
+    let (out, _, _) = supervise(
         &dir,
-        "4",
         &[
             "--fault-plan",
-            "proc=2:0:die:1,proc=2:1:die:1",
+            "proc=1:0:die:3,proc=1:1:die:3",
             "--max-restarts",
             "1",
         ],
     );
-    assert_eq!(out.status.code(), Some(3), "expected degraded sweep");
-    // Serial --resume from the merged journal recomputes exactly the
-    // quarantined remainder; stdout and markdown match the serial run
-    // byte-for-byte (journal record order differs, as for any resume).
+    assert_eq!(out.status.code(), Some(3), "expected a degraded run");
+    // Serial --resume from the degraded journal recomputes exactly the
+    // missing remainder; stdout, markdown and journal all match the
+    // serial run byte for byte.
     let md = dir.join("resumed.md");
-    let stats = dir.join("resumed_stats.json");
-    let journal_s = dir.join("sweep.jsonl").to_str().unwrap().to_owned();
-    let (md_s, stats_s) = (
-        md.to_str().unwrap().to_owned(),
-        stats.to_str().unwrap().to_owned(),
+    let journal = dir.join("supervised.jsonl");
+    let (md_s, journal_s, stats_s) = (
+        path_str(&md),
+        path_str(&journal),
+        path_str(&dir.join("resumed_stats.json")),
     );
     let mut args: Vec<&str> = IDS.to_vec();
     args.extend([
@@ -287,149 +291,87 @@ fn resume_from_degraded_merge_completes_serially() {
         reference.1,
         "resumed markdown differs from serial"
     );
-}
-
-#[test]
-fn more_shards_than_figures_leaves_empty_shards_clean() {
-    let dir = scratch("empty-shards");
-    let md = dir.join("one.md");
-    let journal = dir.join("one.jsonl");
-    let stats = dir.join("one_stats.json");
-    let (md_s, journal_s, stats_s) = (
-        md.to_str().unwrap().to_owned(),
-        journal.to_str().unwrap().to_owned(),
-        stats.to_str().unwrap().to_owned(),
-    );
-    let serial = figures(&[
-        "fig01",
-        "--markdown",
-        &md_s,
-        "--journal",
-        &journal_s,
-        "--grid-stats",
-        &stats_s,
-    ]);
-    assert!(serial.status.success());
-    let sweep_md = dir.join("sweep.md");
-    let sweep_journal = dir.join("sweep.jsonl");
-    let sweep_dir = dir.join("shards");
-    let (smd, sj, sd) = (
-        sweep_md.to_str().unwrap().to_owned(),
-        sweep_journal.to_str().unwrap().to_owned(),
-        sweep_dir.to_str().unwrap().to_owned(),
-    );
-    // 3 shards, 1 figure: shards 2 and 3 own nothing and must settle
-    // cleanly (journal header only), not be quarantined.
-    let out = figures(&[
-        "sweep",
-        "fig01",
-        "--shards",
-        "3",
-        "--dir",
-        &sd,
-        "--markdown",
-        &smd,
-        "--journal",
-        &sj,
-    ]);
-    assert!(
-        out.status.success(),
-        "empty shards broke the sweep: {:?}\nstderr:\n{}",
-        out.status,
-        String::from_utf8_lossy(&out.stderr)
-    );
-    assert_eq!(out.stdout, serial.stdout, "stdout differs");
     assert_eq!(
-        std::fs::read(&sweep_md).expect("sweep md"),
-        std::fs::read(&md).expect("serial md"),
-        "markdown differs"
-    );
-    assert_eq!(
-        std::fs::read(&sweep_journal).expect("sweep journal"),
-        std::fs::read(&journal).expect("serial journal"),
-        "journal differs"
+        std::fs::read(&journal).expect("resumed journal"),
+        reference.2,
+        "resumed journal differs from serial"
     );
 }
 
-/// The worker pid files a sweep into `dir` left behind.
-fn pid_files(dir: &Path) -> Vec<std::fs::DirEntry> {
-    std::fs::read_dir(dir.join("shards"))
-        .into_iter()
-        .flatten()
-        .flatten()
-        .filter(|e| e.file_name().to_string_lossy().ends_with(".pid"))
-        .collect()
+/// Whether a run into `dir` spawned a worker: its pid file or first log.
+fn spawned_a_worker(dir: &Path) -> bool {
+    ["pid", "attempt-0.log"]
+        .iter()
+        .any(|suffix| dir.join(format!("supervised.jsonl.{suffix}")).exists())
 }
 
 #[test]
 fn bad_fault_plan_exits_2_before_any_worker_spawns() {
-    // `net=` is valid grammar, but no figures process has a site for it.
-    for (spec, message) in [
+    // `net=` is valid grammar, but no figures process has a site for it;
+    // `proc=` keeps its SHARD field, which must be 1.
+    for (i, (spec, message)) in [
         ("bogus=1", "unknown fault-plan key \"bogus\""),
         ("net=0:0:drop", "fault-plan key \"net\" has no fault site"),
-    ] {
-        let dir = scratch(&format!("bad-plan-{}", &spec[..3]));
+        ("proc=2:0:die", "SHARD must be 1"),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let dir = scratch(&format!("bad-plan-{i}"));
         let worker = figures(&["fig01", "--fault-plan", spec]);
-        let (sweep_out, _, _) = sweep(&dir, "2", &["--max-restarts", "1", "--fault-plan", spec]);
-        for (mode, out) in [("figures", worker), ("figures sweep", sweep_out)] {
+        let (supervised, _, _) = supervise(&dir, &["--max-restarts", "1", "--fault-plan", spec]);
+        for (mode, out) in [("figures", worker), ("figures supervise", supervised)] {
             let stderr = String::from_utf8_lossy(&out.stderr);
             assert_eq!(out.status.code(), Some(2), "{mode}: stderr:\n{stderr}");
             assert!(stderr.contains(message), "{mode}: {stderr}");
         }
-        let pids = pid_files(&dir);
-        assert!(pids.is_empty(), "{spec}: workers spawned: {pids:?}");
+        assert!(!spawned_a_worker(&dir), "{spec}: a worker was spawned");
     }
 }
 
 #[test]
 fn bad_command_lines_exit_2_before_any_work() {
-    let sweep_cases: [(&[&str], &str); 6] = [
+    let supervise_cases: [(&[&str], &str); 6] = [
         (&["--threads", "0"], "--threads must be >= 1"),
         (&["fig99"], "unknown figure id: fig99"),
-        (&["--tick-ms", "0"], "--tick-ms must be >= 1"),
-        (&["--stall-ticks", "0"], "--stall-ticks must be >= 1"),
-        (
-            &["--straggler-factor", "1"],
-            "--straggler-factor must be >= 2",
-        ),
-        (&["--shard", "1/2"], "sets --shard"),
+        (&["--stall-ms", "0"], "--stall-ms must be >= 1"),
+        (&["--attempt", "1"], "sets --attempt"),
+        (&["--max-retries", "1"], "--max-retries needs --quarantine"),
+        // Flags of the retired shard fleet.
+        (&["--shards", "2"], "unknown flag --shards"),
     ];
-    for (i, (extra, message)) in sweep_cases.iter().enumerate() {
-        let dir = scratch(&format!("bad-sweep-{i}"));
+    for (i, (extra, message)) in supervise_cases.iter().enumerate() {
+        let dir = scratch(&format!("bad-supervise-{i}"));
         let mut args = vec!["--max-restarts", "0"];
         args.extend(*extra);
-        let (out, _, _) = sweep(&dir, "2", &args);
+        let (out, _, _) = supervise(&dir, &args);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{extra:?}: stderr:\n{stderr}");
         assert!(stderr.contains(message), "{extra:?}: {stderr}");
-        let pids = pid_files(&dir);
-        assert!(pids.is_empty(), "{extra:?}: workers spawned: {pids:?}");
+        assert!(!spawned_a_worker(&dir), "{extra:?}: a worker was spawned");
     }
 
-    let dir = scratch("bad-merge");
-    let shards = dir.join("shards");
-    let out = figures(&[
-        "merge",
-        "fig99",
-        "--shards",
-        "2",
-        "--dir",
-        shards.to_str().unwrap(),
-    ]);
-    assert_eq!(out.status.code(), Some(2), "merge fig99: {out:?}");
-    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown figure id: fig99"));
-
     // A worker must reject the whole command line before it computes or
-    // journals the figures that precede the bad argument.
+    // journals the figures that precede the bad argument. The retired
+    // `merge` and `sweep` subcommands now read as unknown figure ids.
     for (i, (args, message)) in [
         (&["fig01", "fig99"][..], "unknown figure id: fig99"),
         (&["fig01", "--treads", "2"], "unknown flag --treads"),
+        (
+            &["fig01", "--max-retries", "2"],
+            "--max-retries needs --quarantine",
+        ),
+        (&["merge", "fig01"], "unknown figure id: merge"),
+        (
+            &["sweep", "fig01", "--shards", "2"],
+            "unknown flag --shards",
+        ),
     ]
     .into_iter()
     .enumerate()
     {
         let journal = scratch(&format!("bad-worker-{i}")).join("journal.jsonl");
-        let journal_s = journal.to_str().unwrap().to_owned();
+        let journal_s = path_str(&journal);
         let mut argv = args.to_vec();
         argv.extend(["--journal", &journal_s]);
         let out = figures(&argv);
@@ -450,17 +392,23 @@ fn sweep_forwards_threads_quarantine_and_retries_to_every_worker() {
         "--max-retries",
         "1",
         "--fault-plan",
-        "seed=1,panic=fig01:1:poison",
+        "seed=1,panic=fig01:1:poison,panic=fig02:0:transient",
     ];
     let reference = serial_reference_with(&dir, &flags);
-    let result = sweep(&dir, "2", &flags);
-    assert_identical("forwarded-flags sweep", &reference, &result);
-    for number in 1..=2 {
-        let stats = std::fs::read_to_string(dir.join(format!("shards/shard-{number}_stats.json")))
-            .expect("shard stats");
-        assert!(
-            stats.contains("\"threads\": 1,"),
-            "shard {number} ignored --threads:\n{stats}"
-        );
-    }
+    let result = supervise(&dir, &flags);
+    assert_identical("forwarded-flags run", &reference, &result);
+    let stats =
+        std::fs::read_to_string(dir.join("supervised_stats.json")).expect("worker grid stats");
+    assert!(
+        stats.contains("\"threads\": 1,"),
+        "worker ignored --threads:\n{stats}"
+    );
+    assert!(
+        stats.contains("\"cells_quarantined\": 1"),
+        "worker ignored --quarantine:\n{stats}"
+    );
+    assert!(
+        stats.contains("\"attempts\": 2"),
+        "worker ignored --max-retries:\n{stats}"
+    );
 }
