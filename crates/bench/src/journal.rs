@@ -105,9 +105,9 @@ impl Journal {
     /// As the file's owner, `load` also canonicalises it: it truncates a
     /// torn tail, then cuts everything else after the last trusted figure
     /// commit — cells of a figure that never committed, and everything
-    /// from the first malformed or hash-mismatched commit on. A run that appends the
-    /// remaining figures in canonical order then leaves a journal
-    /// byte-identical to an uninterrupted run's.
+    /// from the first malformed or hash-mismatched commit on. A run that
+    /// appends the remaining figures in canonical order then leaves a
+    /// journal byte-identical to an uninterrupted run's.
     pub fn load(&self, fingerprint: &str) -> io::Result<Option<Loaded>> {
         fsio::repair_torn_tail(&self.path)?;
         let lines = fsio::read_journal_lines(&self.path)?;
@@ -481,6 +481,31 @@ mod tests {
             loaded.figure("fig01").is_none(),
             "hash mismatch must not replay"
         );
+    }
+
+    #[test]
+    fn positional_attribution_spans_multiple_grid_figures_per_commit() {
+        // fig19 commits the cells of its `fig19-entries` and `fig19-ways`
+        // grids: a quarantine record journaled before the commit is its.
+        let journal = Journal::new(scratch("positional.jsonl"));
+        journal.start("fp").unwrap();
+        journal
+            .append_cell(&CellOutcome::Quarantined(&Quarantined {
+                figure: "fig19-entries".to_owned(),
+                label: "kafka".to_owned(),
+                index: 0,
+                class: FaultClass::Poison,
+                reason: "injected".to_owned(),
+                attempts: 1,
+            }))
+            .unwrap();
+        journal
+            .append_cell(&CellOutcome::Completed(&stat("fig19-ways", 0)))
+            .unwrap();
+        journal.append_figure("fig19", "d", "m").unwrap();
+        let loaded = journal.load("fp").unwrap().unwrap();
+        assert_eq!(loaded.quarantined.len(), 1, "fig19's record dropped");
+        assert_eq!(loaded.quarantined[0].figure, "fig19-entries");
     }
 
     /// Journals `id`'s two cells, then (with `commit`) its figure record.

@@ -133,7 +133,7 @@ pub fn supervise(cfg: &Supervisor, scale: &Scale) -> io::Result<Supervised> {
         attempt += 1;
         std::thread::sleep(Duration::from_millis(fsio::backoff_delay_ms(attempt)));
     };
-    // Its worker is reaped; a stale pid must not lead anyone to kill a
+    // The worker is reaped; a stale pid must not lead anyone to kill a
     // process that reused it.
     let _ = std::fs::remove_file(beside(&path, "pid"));
     Ok(Supervised {
