@@ -49,8 +49,8 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
             // *bytes* durable, but the rename itself lives in the parent
             // directory's entries — on power loss before a directory sync,
             // the file can legally revert to the old version or vanish.
-            // Shard journals and merged reports must survive power loss,
-            // not just process kill, so the parent is synced too.
+            // Journals and reports must survive power loss, not just
+            // process kill, so the parent is synced too.
             fsync_parent_dir(path);
             Ok(())
         }
