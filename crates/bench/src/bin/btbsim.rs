@@ -10,6 +10,17 @@
 //!
 //! `--policy` accepts a comma-separated list; the runs are scattered over
 //! `--threads N` / `SIM_THREADS` workers and reported in the order given.
+//! They share one prepared test trace, so its fetch facts (and OPT's branch
+//! index and oracle) are built once, not once per policy.
+//!
+//! With two or more threads, a single policy gains too: the hint profile
+//! and the test trace's preparation overlap. With `--profile`, one task
+//! decodes and profiles the train trace while the other decodes the test
+//! trace and builds its fetch facts; without it, the test trace is decoded
+//! first and then profiled while its facts are built. `--threads 1` runs
+//! the same two tasks one after the other. The report does not depend on
+//! the thread count, and when both traces fail to load, the test trace's
+//! error is the one reported.
 
 use std::fs::File;
 
@@ -18,7 +29,7 @@ use btb_trace::{read_binary_batched, Trace};
 use sim_support::cli::{self, Cursor};
 use sim_support::pool;
 use thermometer::pipeline::{Pipeline, PipelineConfig, POLICY_NAMES};
-use thermometer::{HintTable, PolicyKind, TemperatureConfig};
+use thermometer::{HintTable, PolicyKind, PreparedTrace, TemperatureConfig};
 use uarch_sim::{FrontendConfig, SimReport};
 
 /// A parsed `btbsim` command line.
@@ -74,8 +85,6 @@ fn parse_args() -> Result<Opts, String> {
 fn main() {
     let opts = parse_args().unwrap_or_else(|e| fail(&e));
     let policies = &opts.policies;
-
-    let trace = load(&opts.trace);
     let pipeline = Pipeline::new(PipelineConfig {
         frontend: FrontendConfig {
             btb: opts.btb,
@@ -83,27 +92,12 @@ fn main() {
         },
         temperature: TemperatureConfig::paper_default(),
     });
-
-    // Profile once, up front, if any requested policy needs hints.
-    let hints: Option<HintTable> = policies.iter().any(PolicyKind::wants_hints).then(|| {
-        let profile_trace = opts.profile.as_deref().map(load);
-        let profile_trace = profile_trace.as_ref().unwrap_or_else(|| {
-            eprintln!("note: no --profile given; profiling on the simulated trace itself");
-            &trace
-        });
-        let hints = pipeline.profile_to_hints(profile_trace);
-        eprintln!(
-            "profiled {} branches -> {} hinted",
-            profile_trace.len(),
-            hints.len()
-        );
-        hints
-    });
+    let (test, hints) = prepare(&opts, &pipeline).unwrap_or_else(|e| fail(&e));
 
     // Scatter the runs, gather reports in the order the policies were given.
     let reports = pool::par_map(policies, |_, policy| {
         let hints = hints.as_ref().filter(|_| policy.wants_hints());
-        pipeline.run(&trace, policy.clone(), hints)
+        pipeline.run(&test, policy.clone(), hints)
     });
     for (i, report) in reports.iter().enumerate() {
         if i > 0 {
@@ -113,10 +107,42 @@ fn main() {
     }
 }
 
-fn load(path: &str) -> Trace {
-    let mut file = File::open(path).unwrap_or_else(|e| fail(&format!("cannot open {path}: {e}")));
+/// Loads the test trace with its fetch facts built and, if any requested
+/// policy needs hints, profiles them: two pool tasks, one per side. A
+/// test-trace error is reported before a profile error.
+fn prepare(opts: &Opts, pipeline: &Pipeline) -> Result<(PreparedTrace, Option<HintTable>), String> {
+    let test_side = || -> Result<PreparedTrace, String> {
+        let test = PreparedTrace::new(load(&opts.trace)?);
+        test.facts();
+        Ok(test)
+    };
+    if !opts.policies.iter().any(PolicyKind::wants_hints) {
+        return Ok((test_side()?, None));
+    }
+    let (test, (branches, hints)) = match &opts.profile {
+        Some(path) => {
+            let (test, train) = pool::join(test_side, || {
+                let train = load(path)?;
+                Ok::<_, String>((train.len(), pipeline.profile_to_hints(&train)))
+            });
+            (test?, train?)
+        }
+        None => {
+            let test = PreparedTrace::new(load(&opts.trace)?);
+            eprintln!("note: no --profile given; profiling on the simulated trace itself");
+            let (hints, _) = pool::join(|| pipeline.profile_to_hints(&test), || test.facts());
+            let branches = test.len();
+            (test, (branches, hints))
+        }
+    };
+    eprintln!("profiled {branches} branches -> {} hinted", hints.len());
+    Ok((test, Some(hints)))
+}
+
+fn load(path: &str) -> Result<Trace, String> {
+    let mut file = File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
     // The batch reader buffers internally; no BufReader needed.
-    read_binary_batched(&mut file).unwrap_or_else(|e| fail(&format!("cannot decode {path}: {e}")))
+    read_binary_batched(&mut file).map_err(|e| format!("cannot decode {path}: {e}"))
 }
 
 fn print_report(r: &SimReport) {

@@ -218,6 +218,29 @@ impl ThreadPool {
         }
     }
 
+    /// Runs `a` and `b` as two tasks of one scope and returns both results,
+    /// in argument order. With one worker it runs `a`, then `b`, on the
+    /// calling thread.
+    pub fn join<A, B>(&self, a: impl FnOnce() -> A + Send, b: impl FnOnce() -> B + Send) -> (A, B)
+    where
+        A: Send,
+        B: Send,
+    {
+        if self.threads() == 1 {
+            return (a(), b());
+        }
+        let (mut left, mut right) = (None, None);
+        self.scope(|scope| {
+            let (left, right) = (&mut left, &mut right);
+            scope.spawn(move || *left = Some(a()));
+            scope.spawn(move || *right = Some(b()));
+        });
+        (
+            left.expect("scope completed, both tasks ran"),
+            right.expect("scope completed, both tasks ran"),
+        )
+    }
+
     /// Applies `f` to every item and gathers the results **in submission
     /// order**, regardless of which worker finishes when. `f` receives the
     /// item's index alongside the item.
@@ -456,6 +479,19 @@ where
     }
 }
 
+/// [`ThreadPool::join`] on the process-shared pool — or `a`, then `b`, on
+/// the calling thread when the configured thread count is 1.
+pub fn join<A, B>(a: impl FnOnce() -> A + Send, b: impl FnOnce() -> B + Send) -> (A, B)
+where
+    A: Send,
+    B: Send,
+{
+    match handle() {
+        Some(pool) => pool.join(a, b),
+        None => (a(), b()),
+    }
+}
+
 /// [`ThreadPool::try_par_map`] on the process-shared pool — serial
 /// fallback (still isolated per task) when the configured count is 1.
 pub fn try_par_map<I, T, F>(items: &[I], max_retries: u32, f: F) -> Vec<Isolated<T>>
@@ -557,6 +593,27 @@ mod tests {
             }
         });
         assert_eq!(total.load(Ordering::Relaxed), data.iter().sum::<u64>());
+    }
+
+    #[test]
+    fn join_returns_both_results_in_argument_order() {
+        let data: Vec<u64> = (0..100).collect();
+        for threads in [1, 2] {
+            let pool = ThreadPool::new(threads);
+            let (sum, max) = pool.join(|| data.iter().sum::<u64>(), || data.iter().copied().max());
+            assert_eq!((sum, max), (4950, Some(99)), "{threads} thread(s)");
+        }
+        // Two tasks that each wait for the other finish only if they run
+        // at once.
+        let pool = ThreadPool::new(2);
+        let arrived = AtomicUsize::new(0);
+        let meet = || {
+            arrived.fetch_add(1, Ordering::SeqCst);
+            while arrived.load(Ordering::SeqCst) < 2 {
+                std::thread::yield_now();
+            }
+        };
+        pool.join(meet, meet);
     }
 
     #[test]

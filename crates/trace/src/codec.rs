@@ -221,6 +221,75 @@ pub const BATCH_RECORDS: usize = 1024;
 /// Bytes the batch reader pulls from the source per refill.
 const REFILL_BYTES: usize = 64 * 1024;
 
+/// The most bytes one record can consume before it decodes or fails: the
+/// flags byte plus three varints of at most 11 bytes each (the overlong
+/// check fires on a varint's 11th byte).
+const MAX_RECORD_BYTES: usize = 1 + 3 * 11;
+
+/// Records [`read_binary_batched`] reserves room for up front. The count
+/// prefix is untrusted, so a corrupt one must not pre-allocate more than
+/// this (as [`MAX_NAME_LEN`] caps the name).
+const MAX_RESERVE_RECORDS: u64 = 1 << 20;
+
+/// A byte stream [`decode_record`] and [`decode_varint`] read from.
+trait ByteSource {
+    fn byte(&mut self) -> Result<u8, CodecError>;
+}
+
+/// A slice known to hold every byte the decode will read; indexing past its
+/// end is a bug, not a truncated input.
+struct SliceBytes<'a> {
+    buf: &'a [u8],
+    pos: usize,
+}
+
+impl ByteSource for SliceBytes<'_> {
+    #[inline(always)]
+    fn byte(&mut self) -> Result<u8, CodecError> {
+        let b = self.buf[self.pos];
+        self.pos += 1;
+        Ok(b)
+    }
+}
+
+/// Same value and error semantics as the free `read_varint` (the byte is
+/// consumed before the overlong check fires, on a varint's 11th byte).
+#[inline(always)]
+fn decode_varint(src: &mut impl ByteSource) -> Result<u64, CodecError> {
+    let mut v = 0u64;
+    let mut shift = 0u32;
+    loop {
+        let b = src.byte()?;
+        if shift >= 64 {
+            return Err(CodecError::Truncated);
+        }
+        v |= u64::from(b & 0x7f) << shift;
+        if b & 0x80 == 0 {
+            return Ok(v);
+        }
+        shift += 7;
+    }
+}
+
+/// Decodes one record whose pc is a delta from `prev_pc`.
+#[inline(always)]
+fn decode_record(src: &mut impl ByteSource, prev_pc: u64) -> Result<BranchRecord, CodecError> {
+    let flags = src.byte()?;
+    let kind = BranchKind::from_code(flags & 0x7).ok_or(CodecError::BadKind(flags & 0x7))?;
+    let taken = flags & 0x8 != 0;
+    let pc = prev_pc.wrapping_add(unzigzag(decode_varint(src)?) as u64);
+    let target = pc.wrapping_add(unzigzag(decode_varint(src)?) as u64);
+    let inst_gap =
+        u32::try_from(decode_varint(src)?).map_err(|_| CodecError::Overflow("inst_gap"))?;
+    Ok(BranchRecord {
+        pc,
+        target,
+        kind,
+        taken,
+        inst_gap,
+    })
+}
+
 /// Streaming batch decoder for the binary trace format.
 ///
 /// [`read_binary`] issues one (or more) `Read::read_exact` calls per field —
@@ -229,6 +298,12 @@ const REFILL_BYTES: usize = 64 * 1024;
 /// traces. `BatchReader` instead slurps the source through a 64 KiB refill
 /// buffer and decodes ~[`BATCH_RECORDS`]-record blocks straight out of that
 /// buffer into a caller-owned, reusable `Vec<BranchRecord>`.
+///
+/// While at least 34 bytes are buffered, a record is decoded straight from
+/// the buffered slice, with no per-byte refill check: 34 bytes (a flags
+/// byte and three varints of at most 11 bytes each) is the most one record
+/// can read before it decodes or fails. Closer to the end of the buffered
+/// bytes, each byte goes through the refilling path instead.
 ///
 /// The decoded stream and every error case are bit-for-bit identical to
 /// [`read_binary`] (the property tests in `tests/trace_roundtrip.rs` pin
@@ -270,18 +345,18 @@ impl<R: Read> BatchReader<R> {
         if &magic != MAGIC {
             return Err(CodecError::BadMagic);
         }
-        let version = reader.read_varint()?;
+        let version = decode_varint(&mut reader)?;
         if version != VERSION {
             return Err(CodecError::UnsupportedVersion(version));
         }
-        let name_len = reader.read_varint()?;
+        let name_len = decode_varint(&mut reader)?;
         if name_len > MAX_NAME_LEN {
             return Err(CodecError::NameTooLong(name_len));
         }
         let mut name = vec![0u8; name_len as usize];
         reader.read_exact_into(&mut name)?;
         reader.name = String::from_utf8(name).map_err(|_| CodecError::BadName)?;
-        reader.remaining = reader.read_varint()?;
+        reader.remaining = decode_varint(&mut reader)?;
         Ok(reader)
     }
 
@@ -307,24 +382,19 @@ impl<R: Read> BatchReader<R> {
         out.clear();
         let take = self.remaining.min(BATCH_RECORDS as u64) as usize;
         for _ in 0..take {
-            let flags = self.read_byte()?;
-            let kind =
-                BranchKind::from_code(flags & 0x7).ok_or(CodecError::BadKind(flags & 0x7))?;
-            let taken = flags & 0x8 != 0;
-            let pc = self
-                .prev_pc
-                .wrapping_add(unzigzag(self.read_varint()?) as u64);
-            let target = pc.wrapping_add(unzigzag(self.read_varint()?) as u64);
-            let inst_gap =
-                u32::try_from(self.read_varint()?).map_err(|_| CodecError::Overflow("inst_gap"))?;
-            out.push(BranchRecord {
-                pc,
-                target,
-                kind,
-                taken,
-                inst_gap,
-            });
-            self.prev_pc = pc;
+            let record = if self.len - self.pos >= MAX_RECORD_BYTES {
+                let mut window = SliceBytes {
+                    buf: &self.buf[self.pos..self.len],
+                    pos: 0,
+                };
+                let record = decode_record(&mut window, self.prev_pc)?;
+                self.pos += window.pos;
+                record
+            } else {
+                decode_record(self, self.prev_pc)?
+            };
+            out.push(record);
+            self.prev_pc = record.pc;
         }
         self.remaining -= take as u64;
         Ok(take)
@@ -380,23 +450,12 @@ impl<R: Read> BatchReader<R> {
         }
         Ok(())
     }
+}
 
-    /// Same value and error semantics as the free `read_varint` (byte is
-    /// consumed before the 10-byte overlong check fires).
-    fn read_varint(&mut self) -> Result<u64, CodecError> {
-        let mut v = 0u64;
-        let mut shift = 0u32;
-        loop {
-            let b = self.read_byte()?;
-            if shift >= 64 {
-                return Err(CodecError::Truncated);
-            }
-            v |= u64::from(b & 0x7f) << shift;
-            if b & 0x80 == 0 {
-                return Ok(v);
-            }
-            shift += 7;
-        }
+impl<R: Read> ByteSource for BatchReader<R> {
+    #[inline]
+    fn byte(&mut self) -> Result<u8, CodecError> {
+        self.read_byte()
     }
 }
 
@@ -411,12 +470,11 @@ impl<R: Read> BatchReader<R> {
 /// unsupported version.
 pub fn read_binary_batched<R: Read>(r: &mut R) -> Result<Trace, CodecError> {
     let mut reader = BatchReader::new(r)?;
-    let mut trace = Trace::new(reader.name().to_owned());
+    let reserve = reader.remaining().min(MAX_RESERVE_RECORDS) as usize;
+    let mut trace = Trace::with_capacity(reader.name().to_owned(), reserve);
     let mut batch = Vec::with_capacity(BATCH_RECORDS);
     while reader.next_batch(&mut batch)? > 0 {
-        for &r in &batch {
-            trace.push(r);
-        }
+        trace.extend(batch.iter().copied());
     }
     Ok(trace)
 }

@@ -12,6 +12,10 @@
 # One automatic retry absorbs transient machine noise (shared runners can
 # throttle a single run well past the tolerance); a *real* regression
 # fails twice.
+#
+# The suites rewrite their tracked results/bench_<suite>.json with this
+# host's numbers. Outside --bless, the committed files are copied aside
+# first and put back on exit, so a check leaves the checkout clean.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -49,6 +53,14 @@ run_suites() {
         fi
     done
 }
+
+if [[ "${1:-}" != "--bless" ]]; then
+    saved="$(mktemp -d)"
+    for s in "${suites[@]}"; do
+        cp "results/bench_$s.json" "$saved/"
+    done
+    trap 'cp "$saved"/bench_*.json results/ && rm -rf "$saved"' EXIT
+fi
 
 echo "==> bench suites: ${suites[*]}"
 run_suites

@@ -117,3 +117,68 @@ fn misspelled_valueless_and_stray_arguments_exit_2_in_btbsim_and_tracegen() {
         assert!(!out_file.exists(), "tracegen {args:?} wrote a trace anyway");
     }
 }
+
+#[test]
+fn the_test_trace_error_is_reported_before_the_profile_error() {
+    let dir = scratch("load-errors");
+    let missing_test = dir.join("no-test.btbt");
+    let missing_train = dir.join("no-train.btbt");
+    let test = tracegen(&dir, 1);
+    for threads in ["1", "2"] {
+        let train = missing_train.to_str().expect("utf-8 path");
+        let args = [
+            "--policy",
+            "thermometer",
+            "--profile",
+            train,
+            "--threads",
+            threads,
+        ];
+
+        let out = btbsim(&args, &missing_test);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "both missing: {stderr}");
+        assert!(
+            stderr.contains("no-test.btbt") && !stderr.contains("no-train.btbt"),
+            "both missing, --threads {threads}: {stderr}"
+        );
+
+        let out = btbsim(&args, &test);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "profile missing: {stderr}");
+        assert!(
+            stderr.contains("no-train.btbt"),
+            "profile missing, --threads {threads}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "simulated without its profile");
+    }
+}
+
+#[test]
+fn thread_count_does_not_change_the_report() {
+    let dir = scratch("thread-count");
+    let train = tracegen(&dir, 0);
+    let test = tracegen(&dir, 1);
+    let train = train.to_str().expect("utf-8 path");
+    for args in [
+        &["--policy", "thermometer", "--profile", train][..],
+        &["--policy", "lru,opt,thermometer", "--profile", train],
+        &["--policy", "lru,opt,thermometer"],
+    ] {
+        let run = |threads| {
+            let out = btbsim(&[args, &["--threads", threads]].concat(), &test);
+            assert_eq!(
+                out.status.code(),
+                Some(0),
+                "{args:?} --threads {threads}: {out:?}"
+            );
+            out.stdout
+        };
+        let serial = run("1");
+        assert!(!serial.is_empty(), "{args:?}: no report");
+        assert!(
+            serial == run("2"),
+            "{args:?}: --threads 2 changed the report"
+        );
+    }
+}

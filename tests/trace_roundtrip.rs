@@ -218,6 +218,102 @@ fn corrupt_record_count_is_detected_not_trusted() {
 }
 
 #[test]
+fn overlong_varint_at_the_end_of_the_buffer_is_truncated_not_a_panic() {
+    // The batch decoder reads a record straight from its buffer only while
+    // 34 bytes are buffered: a flags byte and three varints that each fail
+    // as overlong at their 11th byte. The longest read before that check
+    // fires is 1 + 10 + 10 + 11 = 32 bytes: two maximal valid varints, then
+    // an overlong one. Ending the stream 30..=40 bytes after such a
+    // record's start puts the end of the buffered bytes on every side of
+    // that read, and of the 34-byte window.
+    let records: Vec<BranchRecord> = {
+        let mut rng = SimRng::seed_from_u64(29);
+        (0..50).map(|_| arb_record(&mut rng)).collect()
+    };
+    let t = Trace::from_records("overlong", records);
+    let mut head = Vec::new();
+    write_binary(&mut head, &t).expect("write");
+    // Header: 4 magic + 1 version + 1 name-len + 8 name bytes; the count
+    // (50) is the single byte right after. Promise one record more.
+    assert_eq!(head[14], 50);
+    head[14] = 51;
+    let ten_byte_varint = [0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01];
+    for remaining in 30..=40 {
+        let mut bytes = head.clone();
+        bytes.push(BranchKind::CondDirect.code() | 0x8);
+        bytes.extend_from_slice(&ten_byte_varint); // pc delta
+        bytes.extend_from_slice(&ten_byte_varint); // target delta
+        bytes.resize(head.len() + remaining, 0x80); // overlong inst_gap
+        let reference = read_binary(&mut bytes.as_slice());
+        let batched = read_binary_batched(&mut bytes.as_slice());
+        assert!(
+            matches!(reference, Err(CodecError::Truncated)),
+            "{remaining} bytes left: reference {reference:?}"
+        );
+        assert!(
+            matches!(batched, Err(CodecError::Truncated)),
+            "{remaining} bytes left: batched {batched:?}"
+        );
+    }
+}
+
+/// A reader that hands out 1..=37 bytes per `read`, so the batch decoder's
+/// buffer holds at most 37 bytes and its switch between reading a record
+/// from the buffer and reading it byte by byte lands at every offset.
+struct ShortReads<'a> {
+    bytes: &'a [u8],
+    rng: SimRng,
+}
+
+impl std::io::Read for ShortReads<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let n = self
+            .rng
+            .gen_range(1usize..=37)
+            .min(buf.len())
+            .min(self.bytes.len());
+        buf[..n].copy_from_slice(&self.bytes[..n]);
+        self.bytes = &self.bytes[n..];
+        Ok(n)
+    }
+}
+
+#[test]
+fn short_reads_decode_like_the_reference() {
+    use sim_support::fault::Corruption;
+    // Multi-block traces, half of them corrupted: through short reads the
+    // batch decoder must accept what the reference accepts, and reject the
+    // rest with the same error variant.
+    forall!(cases: 32, gen: |rng| {
+        let len = rng.gen_range(1000usize..2600);
+        let records: Vec<BranchRecord> = (0..len).map(|_| arb_record(rng)).collect();
+        let t = Trace::from_records("short-reads", records);
+        let mut bytes = Vec::new();
+        write_binary(&mut bytes, &t).expect("write");
+        let corruption = rng.gen::<bool>().then(|| Corruption::arbitrary(rng, bytes.len()));
+        (bytes, corruption, rng.gen::<u64>())
+    }, prop: |(bytes, corruption, read_seed)| {
+        let mut bytes = bytes.clone();
+        if let Some(corruption) = corruption {
+            corruption.apply(&mut bytes);
+        }
+        let reference = read_binary(&mut bytes.as_slice());
+        let batched = read_binary_batched(&mut ShortReads {
+            bytes: &bytes,
+            rng: SimRng::seed_from_u64(*read_seed),
+        });
+        match (reference, batched) {
+            (Ok(a), Ok(b)) => assert_eq!(a, b, "decoders accepted different traces"),
+            (Err(a), Err(b)) => assert!(
+                same_variant(&a, &b),
+                "reference {a:?} vs batched {b:?} for {corruption:?}"
+            ),
+            (a, b) => panic!("decoders disagree: reference {a:?} vs batched {b:?}"),
+        }
+    });
+}
+
+#[test]
 fn stats_survive_roundtrip() {
     let spec = AppSpec::by_name("mysql").expect("built-in app");
     let trace = spec.generate(InputConfig::input(0), 40_000);
