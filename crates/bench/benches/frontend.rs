@@ -2,10 +2,13 @@
 //! model (TAGE + BTB + caches + timing). This bounds figure regeneration
 //! time — the Fig. 1/11 grids run ~100 of these simulations.
 //!
-//! The frontend's two layers run on the same kafka stream as `lru_sim`:
+//! The frontend's layers run on the same kafka stream as `lru_sim`:
 //! `fetch_facts_build` (TAGE, RAS, IBTB and the I-cache walk, once per
 //! trace) and `frontend_replay_lru` (the BTB, timing and flush charging,
-//! once per policy over the stored facts). `lru_sim` is one
+//! once per policy over the stored facts). The replay is itself two
+//! passes, timed apart too: `frontend_btb_pass` (LRU lookups over the
+//! taken-branch stream) and `frontend_timing_pass` (the lead/cycle chain
+//! over the facts and the BTB pass's outcomes). `lru_sim` is one
 //! `Frontend::run`, which builds the facts and replays them, so it costs
 //! about their sum (DESIGN.md §15).
 //!
@@ -54,6 +57,14 @@ fn main() {
         let mut fe = Frontend::new(FrontendConfig::table1(), Lru::new());
         black_box(fe.replay(&trace, &facts, None))
     });
+    harness.bench("frontend_btb_pass", records, || {
+        let mut fe = Frontend::new(FrontendConfig::table1(), Lru::new());
+        black_box(fe.btb_pass(&trace, None))
+    });
+    let outcomes = Frontend::new(FrontendConfig::table1(), Lru::new()).btb_pass(&trace, None);
+    harness.bench("frontend_timing_pass", records, || {
+        black_box(FrontendConfig::table1().time(&trace, &facts, &outcomes))
+    });
     let pipeline = Pipeline::new(PipelineConfig::default());
     harness.bench("full_pipeline_profile_plus_sim", records, || {
         let hints = pipeline.profile_to_hints(&trace);
@@ -80,7 +91,8 @@ fn main() {
     harness.note(
         "lru_sim is one Frontend::run, which is fetch_facts_build followed by \
          frontend_replay_lru; a figure grid pays the build once per trace and the replay \
-         once per policy.",
+         once per policy. frontend_replay_lru is frontend_btb_pass followed by \
+         frontend_timing_pass.",
     );
     harness.note(&format!(
         "fig01_grid_pooled ran with {} worker thread(s); cells are independent, so \
@@ -88,5 +100,6 @@ fn main() {
          Full-sweep before/after wall-clock for this machine is recorded in results/grid_stats.json.",
         pool::configured_threads()
     ));
+    harness.note_host();
     harness.finish(RESULTS_DIR);
 }

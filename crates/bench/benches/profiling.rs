@@ -2,8 +2,9 @@
 //! is cheap enough for production build pipelines. These benches measure
 //! the offline stages: oracle construction, the OPT replay on a bare trace
 //! (which builds its own branch index and oracle), the replay alone on a
-//! prepared trace whose index and oracle are already built, and hint-table
-//! classification.
+//! prepared trace whose index and oracle are already built, the streamed
+//! profile of a trace file's bytes (decoded straight into the branch index,
+//! with no `Trace` built), and hint-table classification.
 //!
 //! Run with `cargo bench -p thermometer-bench --bench profiling`;
 //! results land in `results/bench_profiling.json` (median/MAD).
@@ -11,7 +12,7 @@
 use std::hint::black_box;
 
 use btb_model::BtbConfig;
-use btb_trace::{NextUseOracle, Trace};
+use btb_trace::{read_branch_index, write_binary, NextUseOracle, Trace};
 use btb_workloads::{AppSpec, InputConfig};
 use sim_support::BenchHarness;
 use thermometer::{HintTable, OptProfile, PreparedTrace, TemperatureConfig};
@@ -43,6 +44,19 @@ fn main() {
         black_box(OptProfile::measure(&prepared, BtbConfig::table1()))
     });
 
+    // File bytes to a profile, as btbsim profiles its --profile file.
+    let mut bytes = Vec::new();
+    write_binary(&mut bytes, &trace).expect("write to memory");
+    harness.bench("opt_profile_streamed", accesses, || {
+        let (index, _) = read_branch_index(&mut bytes.as_slice()).expect("decode");
+        let oracle = NextUseOracle::from_index(&index);
+        black_box(OptProfile::measure_indexed(
+            &index,
+            &oracle,
+            BtbConfig::table1(),
+        ))
+    });
+
     let profile = OptProfile::measure(&trace, BtbConfig::table1());
     harness.bench("hint_table", Some(profile.unique_branches() as u64), || {
         black_box(HintTable::from_profile(
@@ -50,5 +64,6 @@ fn main() {
             &TemperatureConfig::paper_default(),
         ))
     });
+    harness.note_host();
     harness.finish(RESULTS_DIR);
 }

@@ -13,24 +13,29 @@
 //! They share one prepared test trace, so its fetch facts (and OPT's branch
 //! index and oracle) are built once, not once per policy.
 //!
-//! With two or more threads, a single policy gains too: the hint profile
-//! and the test trace's preparation overlap. With `--profile`, one task
-//! decodes and profiles the train trace while the other decodes the test
-//! trace and builds its fetch facts; without it, the test trace is decoded
-//! first and then profiled while its facts are built. `--threads 1` runs
-//! the same two tasks one after the other. The report does not depend on
+//! Each run is split at the BTB (DESIGN.md §15): a BTB pass, which reads
+//! only the taken-branch stream, and a timing pass over the BTB pass's
+//! outcomes and the fetch facts. Two tasks run side by side: one decodes
+//! the test trace, builds its fetch facts and runs the hint-free policies'
+//! BTB passes; the other profiles, classifies the hints and runs the
+//! hinted policies' BTB passes on the same decoded trace. With
+//! `--profile`, the train file is profiled from the branch index decoded
+//! straight out of it, without materialising its records; without it, the
+//! test trace profiles itself. The timing passes run last. `--threads 1`
+//! runs the same tasks one after the other. The report does not depend on
 //! the thread count, and when both traces fail to load, the test trace's
 //! error is the one reported.
 
 use std::fs::File;
+use std::sync::OnceLock;
 
-use btb_model::BtbConfig;
-use btb_trace::{read_binary_batched, Trace};
+use btb_model::{BtbConfig, ReplacementPolicy};
+use btb_trace::{read_binary_batched, read_branch_index, NextUseOracle, Trace};
 use sim_support::cli::{self, Cursor};
 use sim_support::pool;
 use thermometer::pipeline::{Pipeline, PipelineConfig, POLICY_NAMES};
-use thermometer::{HintTable, PolicyKind, PreparedTrace, TemperatureConfig};
-use uarch_sim::{FrontendConfig, SimReport};
+use thermometer::{HintTable, OptProfile, PolicyKind, PreparedTrace, TemperatureConfig};
+use uarch_sim::{BtbOutcomes, FrontendConfig, SimReport};
 
 /// A parsed `btbsim` command line.
 struct Opts {
@@ -84,7 +89,6 @@ fn parse_args() -> Result<Opts, String> {
 
 fn main() {
     let opts = parse_args().unwrap_or_else(|e| fail(&e));
-    let policies = &opts.policies;
     let pipeline = Pipeline::new(PipelineConfig {
         frontend: FrontendConfig {
             btb: opts.btb,
@@ -92,13 +96,7 @@ fn main() {
         },
         temperature: TemperatureConfig::paper_default(),
     });
-    let (test, hints) = prepare(&opts, &pipeline).unwrap_or_else(|e| fail(&e));
-
-    // Scatter the runs, gather reports in the order the policies were given.
-    let reports = pool::par_map(policies, |_, policy| {
-        let hints = hints.as_ref().filter(|_| policy.wants_hints());
-        pipeline.run(&test, policy.clone(), hints)
-    });
+    let reports = simulate(&opts, &pipeline).unwrap_or_else(|e| fail(&e));
     for (i, report) in reports.iter().enumerate() {
         if i > 0 {
             println!();
@@ -107,42 +105,110 @@ fn main() {
     }
 }
 
-/// Loads the test trace with its fetch facts built and, if any requested
-/// policy needs hints, profiles them: two pool tasks, one per side. A
-/// test-trace error is reported before a profile error.
-fn prepare(opts: &Opts, pipeline: &Pipeline) -> Result<(PreparedTrace, Option<HintTable>), String> {
-    let test_side = || -> Result<PreparedTrace, String> {
-        let test = PreparedTrace::new(load(&opts.trace)?);
-        test.facts();
-        Ok(test)
+/// Runs every requested policy over the test trace and returns the reports
+/// in the order the policies were given.
+///
+/// Two pool tasks share the test trace through one `OnceLock`; whichever
+/// asks first decodes it. The first builds its fetch facts and runs the
+/// BTB passes of the hint-free policies; the second profiles (the
+/// `--profile` file, streamed into its branch index, or else the test
+/// trace), classifies the hints and runs the hinted policies' BTB passes.
+/// The timing passes then run per policy over the facts. A test-trace
+/// error is reported before a profile error.
+fn simulate(opts: &Opts, pipeline: &Pipeline) -> Result<Vec<SimReport>, String> {
+    let test_cell = OnceLock::new();
+    let test = || -> Result<&PreparedTrace, String> {
+        test_cell
+            .get_or_init(|| load(&opts.trace).map(PreparedTrace::new))
+            .as_ref()
+            .map_err(String::clone)
     };
-    if !opts.policies.iter().any(PolicyKind::wants_hints) {
-        return Ok((test_side()?, None));
-    }
-    let (test, (branches, hints)) = match &opts.profile {
-        Some(path) => {
-            let (test, train) = pool::join(test_side, || {
-                let train = load(path)?;
-                Ok::<_, String>((train.len(), pipeline.profile_to_hints(&train)))
+    let (hinted, plain): (Vec<&PolicyKind>, Vec<&PolicyKind>) =
+        opts.policies.iter().partition(|p| p.wants_hints());
+
+    let (plain_passes, hinted_side) = pool::join(
+        || -> Result<Vec<BtbOutcomes>, String> {
+            let test = test()?;
+            test.facts();
+            Ok(pool::par_map(&plain, |_, &policy| {
+                pipeline.btb_pass(test, policy.clone(), None)
+            }))
+        },
+        || -> Result<Option<(u64, HintTable, Vec<BtbOutcomes>)>, String> {
+            if hinted.is_empty() {
+                return Ok(None);
+            }
+            let (branches, hints) = match &opts.profile {
+                Some(path) => profile_file(path, pipeline)?,
+                None => {
+                    let test = test()?;
+                    (test.len() as u64, pipeline.profile_to_hints(test))
+                }
+            };
+            let test = test()?;
+            let passes = pool::par_map(&hinted, |_, &policy| {
+                pipeline.btb_pass(test, policy.clone(), Some(&hints))
             });
-            (test?, train?)
+            Ok(Some((branches, hints, passes)))
+        },
+    );
+    let test = test()?;
+    let mut plain_passes = plain_passes?.into_iter();
+    let mut hinted_passes = match hinted_side? {
+        Some((branches, hints, passes)) => {
+            if opts.profile.is_none() {
+                eprintln!("note: no --profile given; profiling on the simulated trace itself");
+            }
+            eprintln!("profiled {branches} branches -> {} hinted", hints.len());
+            passes
         }
-        None => {
-            let test = PreparedTrace::new(load(&opts.trace)?);
-            eprintln!("note: no --profile given; profiling on the simulated trace itself");
-            let (hints, _) = pool::join(|| pipeline.profile_to_hints(&test), || test.facts());
-            let branches = test.len();
-            (test, (branches, hints))
-        }
-    };
-    eprintln!("profiled {branches} branches -> {} hinted", hints.len());
-    Ok((test, Some(hints)))
+        None => Vec::new(),
+    }
+    .into_iter();
+
+    // Each policy's outcomes, in the order the policies were given.
+    let passes: Vec<(&PolicyKind, BtbOutcomes)> = opts
+        .policies
+        .iter()
+        .map(|policy| {
+            let passes = if policy.wants_hints() {
+                &mut hinted_passes
+            } else {
+                &mut plain_passes
+            };
+            (policy, passes.next().expect("one BTB pass per policy"))
+        })
+        .collect();
+    Ok(pool::par_map(&passes, |_, (policy, outcomes)| {
+        let mut report = pipeline.time(test, outcomes);
+        report.label = policy.name().to_owned();
+        report
+    }))
+}
+
+/// Profiles the trace file at `path` under OPT, streaming its taken
+/// branches into a branch index without keeping its records, and
+/// classifies the hints. Returns the file's record count and the hints.
+fn profile_file(path: &str, pipeline: &Pipeline) -> Result<(u64, HintTable), String> {
+    let mut file = open(path)?;
+    let (index, records) =
+        read_branch_index(&mut file).map_err(|e| format!("cannot decode {path}: {e}"))?;
+    let oracle = NextUseOracle::from_index(&index);
+    let config = pipeline.config();
+    let profile = OptProfile::measure_indexed(&index, &oracle, config.frontend.btb);
+    Ok((
+        records,
+        HintTable::from_profile(&profile, &config.temperature),
+    ))
 }
 
 fn load(path: &str) -> Result<Trace, String> {
-    let mut file = File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
     // The batch reader buffers internally; no BufReader needed.
-    read_binary_batched(&mut file).map_err(|e| format!("cannot decode {path}: {e}"))
+    read_binary_batched(&mut open(path)?).map_err(|e| format!("cannot decode {path}: {e}"))
+}
+
+fn open(path: &str) -> Result<File, String> {
+    File::open(path).map_err(|e| format!("cannot open {path}: {e}"))
 }
 
 fn print_report(r: &SimReport) {

@@ -8,7 +8,7 @@
 use btb_model::policies::Lru;
 use btb_model::{Btb, BtbConfig, ReplacementPolicy};
 use uarch_sim::prefetch::Prefetcher;
-use uarch_sim::{Frontend, FrontendConfig, PerfectOptions, SimReport};
+use uarch_sim::{BtbOutcomes, Frontend, FrontendConfig, PerfectOptions, SimReport};
 
 use crate::hints::HintTable;
 use crate::prepared::SimInput;
@@ -96,10 +96,7 @@ impl Pipeline {
     ) -> (SimReport, Frontend<Btb<P>>) {
         let mut label = policy.name().to_owned();
         let oracle = policy.needs_oracle().then(|| input.indexed_oracle().1);
-        let mut fe = Frontend::new(self.config.frontend, policy);
-        if let Some(h) = hints {
-            fe.set_hints(h.to_map());
-        }
+        let mut fe = self.frontend(policy, hints);
         if let Some(p) = prefetcher {
             label = format!("{label}+{}", p.name());
             fe.set_prefetcher(p);
@@ -107,6 +104,43 @@ impl Pipeline {
         let mut report = fe.replay(input.as_trace(), &input.fetch_facts(), oracle.as_deref());
         report.label = label;
         (report, fe)
+    }
+
+    /// The BTB half of [`Pipeline::run`]: `policy`'s
+    /// [BTB pass](Frontend::btb_pass) over `input`, which needs neither its
+    /// fetch facts nor the timing configuration.
+    /// [`time`](Pipeline::time) turns the outcomes into `run`'s report.
+    pub fn btb_pass<P: ReplacementPolicy>(
+        &self,
+        input: &impl SimInput,
+        policy: P,
+        hints: Option<&HintTable>,
+    ) -> BtbOutcomes {
+        let oracle = policy.needs_oracle().then(|| input.indexed_oracle().1);
+        self.frontend(policy, hints)
+            .btb_pass(input.as_trace(), oracle.as_deref())
+    }
+
+    /// The timing half of [`Pipeline::run`]: times `input` over its fetch
+    /// facts and the outcomes of a [`btb_pass`](Pipeline::btb_pass) on it.
+    /// The report is `run`'s with an empty label.
+    pub fn time(&self, input: &impl SimInput, btb: &BtbOutcomes) -> SimReport {
+        self.config
+            .frontend
+            .time(input.as_trace(), &input.fetch_facts(), btb)
+    }
+
+    /// A frontend running `policy` with `hints` installed.
+    fn frontend<P: ReplacementPolicy>(
+        &self,
+        policy: P,
+        hints: Option<&HintTable>,
+    ) -> Frontend<Btb<P>> {
+        let mut fe = Frontend::new(self.config.frontend, policy);
+        if let Some(h) = hints {
+            fe.set_hints(h.to_map());
+        }
+        fe
     }
 
     /// A limit-study run (Fig. 2): LRU replacement with perfect structures.

@@ -9,6 +9,9 @@
 //!
 //! The replay counts into a flat array indexed by the trace's static-branch
 //! ids ([`BranchIndex`]) and builds the PC-ordered map once, at the end.
+//! It reads nothing but that index and the next-use oracle over it, so a
+//! trace file can be profiled from the index decoded straight out of it
+//! ([`OptProfile::measure_indexed`]).
 //! The pre-index replay, which updates a `BTreeMap` on every access, is
 //! kept as [`reference::reference_profile`](crate::reference::reference_profile)
 //! for the differential tests.
@@ -16,7 +19,7 @@
 use std::collections::BTreeMap;
 
 use btb_model::{policies::BeladyOpt, AccessContext, Btb, BtbConfig};
-use btb_trace::{BranchIndex, NextUseOracle, Trace};
+use btb_trace::{BranchIndex, BranchKind, NextUseOracle};
 
 use crate::prepared::SimInput;
 
@@ -107,23 +110,27 @@ impl OptProfile {
     /// ```
     pub fn measure(input: &impl SimInput, config: BtbConfig) -> Self {
         let (index, oracle) = input.indexed_oracle();
-        Self::replay(input.as_trace(), &index, &oracle, config)
+        Self::measure_indexed(&index, &oracle, config)
     }
 
-    fn replay(
-        trace: &Trace,
-        index: &BranchIndex,
-        oracle: &NextUseOracle,
-        config: BtbConfig,
-    ) -> Self {
+    /// [`OptProfile::measure`] over a taken-branch stream given only as its
+    /// [`BranchIndex`] and the [`NextUseOracle`] built over it, such as
+    /// [`read_branch_index`](btb_trace::read_branch_index) reads from a
+    /// trace file without keeping its records.
+    ///
+    /// The index is all the replay needs: OPT chooses its victims by next
+    /// use, and a lookup hits by comparing PCs. A branch's target and kind
+    /// only change which target a hit reports, never a counter.
+    pub fn measure_indexed(index: &BranchIndex, oracle: &NextUseOracle, config: BtbConfig) -> Self {
         let mut btb = Btb::new(config, BeladyOpt::new());
         let mut counters = vec![BranchCounters::default(); index.branches()];
+        let pcs = index.pcs();
 
-        for (i, (r, &id)) in trace.taken().zip(index.ids()).enumerate() {
+        for (i, &id) in index.ids().iter().enumerate() {
             let ctx = AccessContext {
-                pc: r.pc,
-                target: r.target,
-                kind: r.kind,
+                pc: pcs[id as usize],
+                target: 0,
+                kind: BranchKind::default(),
                 hint: 0,
                 next_use: oracle.next_use(i),
                 access_index: i as u64,
@@ -141,7 +148,7 @@ impl OptProfile {
         }
 
         Self {
-            branches: index.pcs().iter().copied().zip(counters).collect(),
+            branches: pcs.iter().copied().zip(counters).collect(),
             config: Some(config),
             accesses: oracle.len() as u64,
         }
@@ -204,7 +211,7 @@ impl OptProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use btb_trace::{BranchKind, BranchRecord};
+    use btb_trace::{BranchRecord, Trace};
 
     fn taken(pc: u64) -> BranchRecord {
         BranchRecord::taken(pc, pc + 0x100, BranchKind::UncondDirect, 1)

@@ -87,6 +87,23 @@ impl BenchHarness {
         self.notes.push(text.to_owned());
     }
 
+    /// Notes the host the suite ran on: its CPU model (from `/proc/cpuinfo`,
+    /// where there is one) and the threads it offers, so a recorded median
+    /// reads against its hardware.
+    pub fn note_host(&mut self) {
+        let model = std::fs::read_to_string("/proc/cpuinfo")
+            .ok()
+            .and_then(|info| {
+                info.lines().find_map(|line| {
+                    let (key, value) = line.split_once(':')?;
+                    (key.trim() == "model name").then(|| value.trim().to_owned())
+                })
+            })
+            .unwrap_or_else(|| "unknown CPU".to_owned());
+        let threads = std::thread::available_parallelism().map_or(1, usize::from);
+        self.note(&format!("host: {model}, {threads} hardware thread(s)"));
+    }
+
     /// Runs one benchmark: `warmup` untimed then `iters` timed calls of `f`.
     /// Pass `elements` to report throughput (elements/second).
     pub fn bench<T>(&mut self, name: &str, elements: Option<u64>, mut f: impl FnMut() -> T) {

@@ -19,7 +19,8 @@
 
 use std::io::{self, Read, Write};
 
-use crate::{BranchKind, BranchRecord, Trace};
+use crate::index::Interner;
+use crate::{BranchIndex, BranchKind, BranchRecord, Trace};
 
 const MAGIC: &[u8; 4] = b"BTBT";
 const VERSION: u64 = 1;
@@ -477,6 +478,49 @@ pub fn read_binary_batched<R: Read>(r: &mut R) -> Result<Trace, CodecError> {
         trace.extend(batch.iter().copied());
     }
     Ok(trace)
+}
+
+/// Reads a trace written with [`write_binary`] straight into the
+/// [`BranchIndex`] of its taken branches, without keeping its records:
+/// all an OPT profile of a trace file reads. Returns the index and the
+/// trace's record count.
+///
+/// # Errors
+///
+/// Returns the [`CodecError`] [`read_binary_batched`] returns on the same
+/// input: both decode through the same [`BatchReader`].
+///
+/// # Examples
+///
+/// ```
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// use btb_trace::{read_branch_index, write_binary, BranchIndex, BranchKind, BranchRecord, Trace};
+///
+/// let mut trace = Trace::new("i");
+/// for pc in [0x10u64, 0x20, 0x10] {
+///     trace.push(BranchRecord::taken(pc, 0x100, BranchKind::UncondDirect, 0));
+/// }
+/// trace.push(BranchRecord::not_taken(0x30, BranchKind::CondDirect, 0));
+/// let mut buf = Vec::new();
+/// write_binary(&mut buf, &trace)?;
+/// let (index, records) = read_branch_index(&mut buf.as_slice())?;
+/// assert_eq!(index, BranchIndex::build(&trace));
+/// assert_eq!(records, 4);
+/// # Ok(())
+/// # }
+/// ```
+pub fn read_branch_index<R: Read>(r: &mut R) -> Result<(BranchIndex, u64), CodecError> {
+    let mut reader = BatchReader::new(r)?;
+    let records = reader.remaining();
+    let mut interner = Interner::with_capacity(records.min(MAX_RESERVE_RECORDS) as usize);
+    let mut batch = Vec::with_capacity(BATCH_RECORDS);
+    while reader.next_batch(&mut batch)? > 0 {
+        batch
+            .iter()
+            .filter(|r| r.taken)
+            .for_each(|r| interner.push(r.pc));
+    }
+    Ok((interner.finish(), records))
 }
 
 /// Writes `trace` as one human-readable line per record:

@@ -6,6 +6,8 @@
 //! branch's PC once, in first-appearance order, so those consumers can keep
 //! their per-branch state in flat arrays indexed by a dense `u32` id
 //! instead of hashing or tree-walking a PC on every access.
+//! [`read_branch_index`](crate::read_branch_index) interns a trace file's
+//! taken branches the same way, straight from the decoder's batches.
 
 use sim_support::DetHashMap;
 
@@ -44,24 +46,9 @@ impl BranchIndex {
     /// assert_eq!(index.pcs(), &[0x10, 0x20]);
     /// ```
     pub fn build(trace: &Trace) -> Self {
-        let accesses = trace.taken().count();
-        assert!(
-            accesses < u32::MAX as usize,
-            "{accesses} taken branches overflow the u32 access index"
-        );
-        let mut ids = Vec::with_capacity(accesses);
-        let mut pcs = Vec::new();
-        // Lookup-only (never iterated): ids come from `pcs.len()`, so the
-        // numbering is first-appearance order whatever the hasher does.
-        let mut by_pc: DetHashMap<u64, u32> = DetHashMap::default();
-        for r in trace.taken() {
-            let id = *by_pc.entry(r.pc).or_insert_with(|| {
-                pcs.push(r.pc);
-                (pcs.len() - 1) as u32
-            });
-            ids.push(id);
-        }
-        Self { ids, pcs }
+        let mut interner = Interner::with_capacity(trace.taken().count());
+        trace.taken().for_each(|r| interner.push(r.pc));
+        interner.finish()
     }
 
     /// Number of accesses (taken branches) in the stream.
@@ -87,6 +74,55 @@ impl BranchIndex {
     /// The PC of every static branch, indexed by id.
     pub fn pcs(&self) -> &[u64] {
         &self.pcs
+    }
+}
+
+/// Builds a [`BranchIndex`] one taken-branch PC at a time, so a decoder
+/// can intern a trace file's branches without keeping its records.
+pub(crate) struct Interner {
+    ids: Vec<u32>,
+    pcs: Vec<u64>,
+    /// Lookup-only (never iterated): ids come from `pcs.len()`, so the
+    /// numbering is first-appearance order whatever the hasher does.
+    by_pc: DetHashMap<u64, u32>,
+}
+
+impl Interner {
+    /// An empty interner with room for `accesses` accesses.
+    pub(crate) fn with_capacity(accesses: usize) -> Self {
+        Self {
+            ids: Vec::with_capacity(accesses),
+            pcs: Vec::new(),
+            by_pc: DetHashMap::default(),
+        }
+    }
+
+    /// Interns the next access, a taken branch at `pc`.
+    #[inline]
+    pub(crate) fn push(&mut self, pc: u64) {
+        let pcs = &mut self.pcs;
+        let id = *self.by_pc.entry(pc).or_insert_with(|| {
+            pcs.push(pc);
+            (pcs.len() - 1) as u32
+        });
+        self.ids.push(id);
+    }
+
+    /// The index of the accesses pushed so far.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `u32::MAX` or more accesses were pushed.
+    pub(crate) fn finish(self) -> BranchIndex {
+        let accesses = self.ids.len();
+        assert!(
+            accesses < u32::MAX as usize,
+            "{accesses} taken branches overflow the u32 access index"
+        );
+        BranchIndex {
+            ids: self.ids,
+            pcs: self.pcs,
+        }
     }
 }
 

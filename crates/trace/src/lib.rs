@@ -38,7 +38,9 @@ pub mod record;
 pub mod reference;
 pub mod stats;
 
-pub use codec::{read_binary, read_binary_batched, write_binary, BatchReader, CodecError};
+pub use codec::{
+    read_binary, read_binary_batched, read_branch_index, write_binary, BatchReader, CodecError,
+};
 pub use index::BranchIndex;
 pub use next_use::NextUseOracle;
 pub use record::{BranchKind, BranchRecord};

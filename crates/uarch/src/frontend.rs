@@ -17,10 +17,17 @@
 //!    lead.
 //!
 //! TAGE, the RAS, the IBTB and the I-cache never read the BTB, so their
-//! outcomes — the [`FetchFacts`] — are computed once per trace. The one
-//! simulation loop, [`Frontend::replay`], reads each record's facts
-//! alongside the BTB it owns; [`Frontend::run`] builds the facts and
-//! replays them.
+//! outcomes — the [`FetchFacts`] — are computed once per trace. The BTB
+//! reads neither those facts nor the timing model, so a run is three
+//! layers, each a pass over the trace:
+//!
+//! - [`FetchFacts::build`]: the predictors' and I-cache's outcomes.
+//! - [`Frontend::btb_pass`]: the BTB (with hints, prefetcher and OPT
+//!   oracle), one [`BtbOutcomes`] byte per taken branch.
+//! - [`FrontendConfig::time`]: the lead/cycle chain over both.
+//!
+//! [`Frontend::replay`] is the BTB pass followed by the timing pass, and
+//! [`Frontend::run`] builds the facts and replays them.
 //!
 //! The per-branch Thermometer hint (if a hint table is installed) rides
 //! into the BTB through [`AccessContext::hint`].
@@ -143,6 +150,9 @@ impl<B: BtbInterface> Frontend<B> {
     /// BTBs, policies or timing configurations build the facts once and
     /// replay them.
     ///
+    /// A replay is the [BTB pass](Self::btb_pass) followed by the
+    /// [timing pass](FrontendConfig::time) over its outcomes.
+    ///
     /// # Panics
     ///
     /// Panics if `facts` describes a trace of a different length; facts
@@ -153,24 +163,145 @@ impl<B: BtbInterface> Frontend<B> {
         facts: &FetchFacts,
         oracle: Option<&NextUseOracle>,
     ) -> SimReport {
+        let btb = self.btb_pass(trace, oracle);
+        self.config.time(trace, facts, &btb)
+    }
+
+    /// The BTB half of a run: looks up every taken branch in the BTB, with
+    /// its hint, the OPT oracle's next use and the prefetcher's buffer, and
+    /// records whether it hit. Reads neither the fetch facts nor the timing
+    /// configuration, so it can run before (or beside) the facts are built;
+    /// [`FrontendConfig::time`] then turns its outcomes into a report.
+    pub fn btb_pass(&mut self, trace: &Trace, oracle: Option<&NextUseOracle>) -> BtbOutcomes {
+        let mut outcomes = Vec::with_capacity(trace.len());
+        if self.config.perfect.btb {
+            outcomes.extend(trace.taken().map(|_| HIT));
+            let accesses = outcomes.len() as u64;
+            return BtbOutcomes {
+                outcomes,
+                stats: BtbStats {
+                    accesses,
+                    hits: accesses,
+                    ..BtbStats::default()
+                },
+                buffer_hits: 0,
+            };
+        }
+        let mut buffer_hits = 0;
+        for (access_index, r) in trace.taken().enumerate() {
+            let hint = self
+                .hints
+                .as_ref()
+                .and_then(|h| h.get(&r.pc))
+                .copied()
+                .unwrap_or(0);
+            let next_use = oracle.map_or(NEVER, |o| o.next_use(access_index));
+            let ctx = AccessContext {
+                pc: r.pc,
+                target: r.target,
+                kind: r.kind,
+                hint,
+                next_use,
+                access_index: access_index as u64,
+            };
+            let mut outcome = self.btb.access(&ctx);
+            if let Some(pf) = self.prefetcher.as_mut() {
+                // A miss served by the prefetcher's staging buffer costs
+                // nothing: the target was prefetched and is ready at lookup
+                // time.
+                if outcome.is_miss() && pf.buffer_hit(r.pc) {
+                    buffer_hits += 1;
+                    outcome = AccessOutcome::Hit {
+                        target_matched: true,
+                    };
+                }
+                // Prefetched entries carry their true instruction hint (the
+                // hint lives in the branch instruction bytes, so any fill
+                // path sees it).
+                let mut hinted = HintedBtb {
+                    btb: &mut self.btb,
+                    hints: self.hints.as_ref(),
+                };
+                pf.on_branch(r, outcome, &mut hinted);
+            }
+            outcomes.push(match outcome {
+                AccessOutcome::Hit {
+                    target_matched: true,
+                } => HIT,
+                AccessOutcome::Hit {
+                    target_matched: false,
+                } => STALE_HIT,
+                AccessOutcome::MissInserted | AccessOutcome::MissBypassed => MISS,
+            });
+        }
+        BtbOutcomes {
+            outcomes,
+            stats: self.btb.stats(),
+            buffer_hits,
+        }
+    }
+}
+
+/// Outcome byte: the access missed, and no prefetch buffer served it.
+const MISS: u8 = 0;
+/// Outcome byte: the access hit with the right target (or a prefetch
+/// buffer or a perfect BTB served it).
+const HIT: u8 = 1;
+/// Outcome byte: the access hit a stale entry whose target differed.
+const STALE_HIT: u8 = 2;
+
+/// What a [BTB pass](Frontend::btb_pass) decided: one outcome byte per
+/// taken-branch access, in access order, and the BTB's counters.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct BtbOutcomes {
+    outcomes: Vec<u8>,
+    stats: BtbStats,
+    buffer_hits: u64,
+}
+
+impl BtbOutcomes {
+    /// The BTB's counters after the pass.
+    pub fn stats(&self) -> &BtbStats {
+        &self.stats
+    }
+
+    /// Misses a prefetcher's staging buffer served.
+    pub fn buffer_hits(&self) -> u64 {
+        self.buffer_hits
+    }
+}
+
+impl FrontendConfig {
+    /// The timing half of a run: walks every record with its fetch facts
+    /// and, for taken branches, the BTB pass's outcome, charging fetch
+    /// bandwidth, unhidden I-cache latency and the most severe flush per
+    /// record. The report is [`Frontend::replay`]'s, bit for bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `facts` describes a trace of a different length, or `btb`
+    /// a different number of taken branches.
+    pub fn time(&self, trace: &Trace, facts: &FetchFacts, btb: &BtbOutcomes) -> SimReport {
         assert_eq!(
             facts.len(),
             trace.len(),
             "fetch facts describe a different trace than {}",
             trace.name()
         );
-        let t = self.config.timing;
-        let perfect = self.config.perfect;
+        let t = self.timing;
+        let perfect = self.perfect;
         let max_lead = t.max_lead();
         let mut report = SimReport {
             workload: trace.name().to_owned(),
+            btb: btb.stats.clone(),
+            btb_buffer_hits: btb.buffer_hits,
             ..SimReport::default()
         };
 
         let mut cycles = 0.0f64;
         let mut lead = 0.0f64; // run-ahead shield, cycles
-        let mut access_index: u64 = 0; // position in the taken stream
         let mut facts_iter = facts.iter();
+        let mut outcomes = btb.outcomes.iter();
 
         // Division by a power of two is exact, and so is multiplying by its
         // (exactly representable) reciprocal — bit-identical results without
@@ -234,52 +365,10 @@ impl<B: BtbInterface> Frontend<B> {
             let mut target_flush = false;
             let mut btb_missed = false;
             if r.taken {
-                let outcome = if perfect.btb {
-                    report.btb.accesses += 1;
-                    report.btb.hits += 1;
-                    AccessOutcome::Hit {
-                        target_matched: true,
-                    }
-                } else {
-                    let hint = self
-                        .hints
-                        .as_ref()
-                        .and_then(|h| h.get(&r.pc))
-                        .copied()
-                        .unwrap_or(0);
-                    let next_use = oracle.map_or(NEVER, |o| o.next_use(access_index as usize));
-                    let ctx = AccessContext {
-                        pc: r.pc,
-                        target: r.target,
-                        kind: r.kind,
-                        hint,
-                        next_use,
-                        access_index,
-                    };
-                    let mut outcome = self.btb.access(&ctx);
-                    if let Some(pf) = self.prefetcher.as_mut() {
-                        // A miss served by the prefetcher's staging buffer
-                        // costs nothing: the target was prefetched and is
-                        // ready at lookup time.
-                        if outcome.is_miss() && pf.buffer_hit(r.pc) {
-                            report.btb_buffer_hits += 1;
-                            outcome = AccessOutcome::Hit {
-                                target_matched: true,
-                            };
-                        }
-                        // Prefetched entries carry their true instruction
-                        // hint (the hint lives in the branch instruction
-                        // bytes, so any fill path sees it).
-                        let mut hinted = HintedBtb {
-                            btb: &mut self.btb,
-                            hints: self.hints.as_ref(),
-                        };
-                        pf.on_branch(r, outcome, &mut hinted);
-                    }
-                    outcome
-                };
-                access_index += 1;
-                btb_missed = outcome.is_miss();
+                let outcome = *outcomes
+                    .next()
+                    .expect("BTB outcomes describe a different trace");
+                btb_missed = outcome == MISS;
 
                 // Target prediction (only meaningful on a BTB hit: without
                 // an entry the frontend did not even know a branch was
@@ -299,16 +388,9 @@ impl<B: BtbInterface> Frontend<B> {
                             target_flush = true;
                         }
                     }
-                    _ => {
-                        if let AccessOutcome::Hit {
-                            target_matched: false,
-                        } = outcome
-                        {
-                            // Stale direct-branch entry (aliasing): treated
-                            // as a target flush.
-                            target_flush = true;
-                        }
-                    }
+                    // Stale direct-branch entry (aliasing): treated as a
+                    // target flush.
+                    _ => target_flush = outcome == STALE_HIT,
                 }
             }
 
@@ -328,11 +410,12 @@ impl<B: BtbInterface> Frontend<B> {
                 lead = 0.0;
             }
         }
+        assert!(
+            outcomes.next().is_none(),
+            "BTB outcomes describe a different trace"
+        );
 
         report.cycles = cycles;
-        if !perfect.btb {
-            report.btb = self.btb.stats();
-        }
         if !perfect.icache {
             report.l1i_misses = facts.l1i_misses();
             report.l2i_misses = facts.l2i_misses();

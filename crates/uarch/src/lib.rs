@@ -24,7 +24,10 @@
 //! optional BTB prefetcher; [`Frontend::replay`] simulates a trace over its
 //! stored facts, and [`Frontend::run`] builds them and replays. Replaying
 //! one set of facts under many BTBs, policies or timing configurations
-//! gives the reports that many fresh runs would, bit for bit.
+//! gives the reports that many fresh runs would, bit for bit. A replay is
+//! itself two passes: [`Frontend::btb_pass`] reads only the taken-branch
+//! stream, and [`FrontendConfig::time`] charges cycles from the facts and
+//! the BTB pass's [`BtbOutcomes`].
 //!
 //! # Examples
 //!
@@ -46,6 +49,10 @@
 //! let facts = FetchFacts::build(&trace);
 //! let again = Frontend::new(FrontendConfig::table1(), Lru::new()).replay(&trace, &facts, None);
 //! assert_eq!(again, report);
+//!
+//! // A replay is the BTB pass, then the timing pass over its outcomes.
+//! let outcomes = Frontend::new(FrontendConfig::table1(), Lru::new()).btb_pass(&trace, None);
+//! assert_eq!(FrontendConfig::table1().time(&trace, &facts, &outcomes), report);
 //! ```
 
 pub mod cache;
@@ -60,6 +67,6 @@ pub mod tage;
 pub mod timing;
 
 pub use facts::FetchFacts;
-pub use frontend::{Frontend, FrontendConfig, PerfectOptions};
+pub use frontend::{BtbOutcomes, Frontend, FrontendConfig, PerfectOptions};
 pub use report::SimReport;
 pub use timing::TimingConfig;

@@ -100,6 +100,22 @@ cmp "$ft_dir/ref.out" "$ft_dir/resumed.out"
 # journal equals the uninterrupted one too.
 cmp "$ft_dir/ref_journal.jsonl" "$ft_dir/journal.jsonl"
 
+echo "==> btbsim --threads 2 (BTB pass beside the fetch facts; stdout byte-compared against serial)"
+bs_dir="$ft_dir/btbsim"
+mkdir -p "$bs_dir"
+for input in 0 1; do
+    ./target/release/tracegen app kafka --input "$input" --records 200000 \
+        --out "$bs_dir/kafka$input.btbt" 2>/dev/null
+done
+for policy in thermometer lru,srrip,opt,thermometer; do
+    for threads in 1 2; do
+        ./target/release/btbsim "$bs_dir/kafka1.btbt" --policy "$policy" \
+            --profile "$bs_dir/kafka0.btbt" --threads "$threads" \
+            > "$bs_dir/$policy.$threads.out" 2>/dev/null
+    done
+    cmp "$bs_dir/$policy.1.out" "$bs_dir/$policy.2.out"
+done
+
 echo "==> hintd loopback smoke (serve -> load -> kill -9 -> restart -> byte-identical dumps)"
 hintd_dir="$ft_dir/hintd"
 mkdir -p "$hintd_dir"

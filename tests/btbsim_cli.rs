@@ -156,6 +156,8 @@ fn the_test_trace_error_is_reported_before_the_profile_error() {
 
 #[test]
 fn thread_count_does_not_change_the_report() {
+    // stdout and stderr alike, with and without a profile file, for one
+    // hinted policy and for lists mixing hinted and hint-free ones.
     let dir = scratch("thread-count");
     let train = tracegen(&dir, 0);
     let test = tracegen(&dir, 1);
@@ -163,7 +165,10 @@ fn thread_count_does_not_change_the_report() {
     for args in [
         &["--policy", "thermometer", "--profile", train][..],
         &["--policy", "lru,opt,thermometer", "--profile", train],
+        &["--policy", "lru,srrip,opt,thermometer", "--profile", train],
         &["--policy", "lru,opt,thermometer"],
+        &["--policy", "thermometer"],
+        &["--policy", "lru,srrip,opt"],
     ] {
         let run = |threads| {
             let out = btbsim(&[args, &["--threads", threads]].concat(), &test);
@@ -172,13 +177,47 @@ fn thread_count_does_not_change_the_report() {
                 Some(0),
                 "{args:?} --threads {threads}: {out:?}"
             );
-            out.stdout
+            (out.stdout, out.stderr)
         };
         let serial = run("1");
-        assert!(!serial.is_empty(), "{args:?}: no report");
-        assert!(
-            serial == run("2"),
-            "{args:?}: --threads 2 changed the report"
-        );
+        assert!(!serial.0.is_empty(), "{args:?}: no report");
+        for threads in ["2", "3"] {
+            assert!(
+                serial == run(threads),
+                "{args:?}: --threads {threads} changed the report"
+            );
+        }
     }
+}
+
+#[test]
+fn the_profile_line_counts_the_train_file_records() {
+    // The train side never builds a trace, but it still reports how many
+    // records the profile read: every record of the file, taken or not.
+    let dir = scratch("profile-line");
+    let train = tracegen(&dir, 0);
+    let test = tracegen(&dir, 1);
+    let train = train.to_str().expect("utf-8 path");
+    for (args, note) in [
+        (
+            &["--policy", "lru,thermometer", "--profile", train][..],
+            false,
+        ),
+        (&["--policy", "lru,thermometer"], true),
+    ] {
+        let out = btbsim(args, &test);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {out:?}");
+        let stderr = String::from_utf8(out.stderr).expect("utf-8 stderr");
+        let lines: Vec<&str> = stderr.lines().collect();
+        let profiled = lines.last().expect("a profile line");
+        assert!(
+            profiled.starts_with("profiled 20000 branches -> ") && profiled.ends_with(" hinted"),
+            "{args:?}: {stderr}"
+        );
+        assert_eq!(lines.len(), 1 + usize::from(note), "{args:?}: {stderr}");
+    }
+    // Hint-free policies need no profile: nothing on stderr.
+    let out = btbsim(&["--policy", "lru,opt", "--profile", train], &test);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    assert!(out.stderr.is_empty(), "{out:?}");
 }

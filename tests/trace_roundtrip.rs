@@ -2,16 +2,22 @@
 //! codec and read back must be bit-identical and produce the identical
 //! simulation result — through the per-record reference decoder and the
 //! batch decoder alike, with identical error classification on malformed
-//! input.
+//! input. The branch index streamed out of the same bytes
+//! (`read_branch_index`) must equal the index of the decoded trace, fail
+//! with the batch decoder's error, and profile like the reference OPT
+//! replay.
 
 use btb_model::policies::Lru;
+use btb_model::BtbConfig;
 use btb_trace::{
-    read_binary, read_binary_batched, write_binary, BatchReader, BranchKind, BranchRecord,
-    CodecError, Trace, TraceStats,
+    read_binary, read_binary_batched, read_branch_index, write_binary, BatchReader, BranchIndex,
+    BranchKind, BranchRecord, CodecError, NextUseOracle, Trace, TraceStats,
 };
 use btb_workloads::{AppSpec, InputConfig};
 use sim_support::{forall, SimRng};
 use thermometer::pipeline::{Pipeline, PipelineConfig};
+use thermometer::reference::reference_profile;
+use thermometer::OptProfile;
 
 #[test]
 fn workload_traces_roundtrip_through_the_codec() {
@@ -69,6 +75,74 @@ fn same_variant(a: &CodecError, b: &CodecError) -> bool {
             (CodecError::Overflow(x), CodecError::Overflow(y)) => x == y,
             _ => true,
         }
+}
+
+/// The index streamed out of some bytes must be the batch decoder's answer
+/// on them in index form: on success the index and record count of the
+/// decoded trace, on failure the same error.
+fn assert_streamed_agrees(
+    batched: &Result<Trace, CodecError>,
+    streamed: Result<(BranchIndex, u64), CodecError>,
+) {
+    match (batched, streamed) {
+        (Ok(trace), Ok((index, records))) => {
+            assert_eq!(index, BranchIndex::build(trace), "streamed index differs");
+            assert_eq!(records, trace.len() as u64, "streamed record count differs");
+        }
+        (Err(a), Err(b)) => assert!(same_variant(a, &b), "batched {a:?} vs streamed {b:?}"),
+        (a, b) => panic!("decoders disagree: batched {a:?} vs streamed {b:?}"),
+    }
+}
+
+/// A random trace over a recurring pool of branch sites of every kind,
+/// each kind taken or not, at a length straddling the batch boundaries.
+fn arb_stream(rng: &mut SimRng) -> Trace {
+    let len = match rng.gen_range(0u32..4) {
+        0 => rng.gen_range(0usize..4),
+        1 => rng.gen_range(1000usize..1100),
+        2 => 1024,
+        _ => rng.gen_range(2048usize..3000),
+    };
+    let sites: Vec<u64> = (0..rng.gen_range(1usize..64))
+        .map(|_| 0x40_0000 + 4 * rng.gen_range(0u64..4096))
+        .collect();
+    let records = (0..len)
+        .map(|_| BranchRecord {
+            pc: sites[rng.gen_range(0..sites.len())],
+            taken: rng.gen::<bool>(),
+            ..arb_record(rng)
+        })
+        .collect();
+    Trace::from_records("stream", records)
+}
+
+#[test]
+fn the_streamed_index_is_the_index_of_the_decoded_trace() {
+    forall!(cases: 48, gen: arb_stream, shrink: sim_support::forall::shrink_none, prop: |trace: &Trace| {
+        let mut buf = Vec::new();
+        write_binary(&mut buf, trace).expect("write to memory");
+        let batched = read_binary_batched(&mut buf.as_slice());
+        assert_eq!(batched.as_ref().expect("batched decode"), trace);
+        assert_streamed_agrees(&batched, read_branch_index(&mut buf.as_slice()));
+    });
+}
+
+#[test]
+fn the_index_only_profile_is_the_reference_profile() {
+    // From file bytes to a profile with no trace in between: the streamed
+    // index and its oracle must profile exactly like the reference replay,
+    // which reads every record's pc, target and kind.
+    forall!(cases: 32, gen: arb_stream, shrink: sim_support::forall::shrink_none, prop: |trace: &Trace| {
+        let mut buf = Vec::new();
+        write_binary(&mut buf, trace).expect("write to memory");
+        let (index, _) = read_branch_index(&mut buf.as_slice()).expect("streamed index");
+        let oracle = NextUseOracle::from_index(&index);
+        for config in [BtbConfig::new(4, 1), BtbConfig::new(16, 4), BtbConfig::table1()] {
+            let streamed = OptProfile::measure_indexed(&index, &oracle, config);
+            assert_eq!(streamed, reference_profile(trace, config), "{config:?}");
+            assert_eq!(streamed, OptProfile::measure(trace, config), "{config:?}");
+        }
+    });
 }
 
 #[test]
@@ -150,6 +224,11 @@ fn truncations_error_identically_in_both_decoders() {
     for cut in cuts {
         let reference = read_binary(&mut &buf[..cut]).expect_err("prefix must not decode");
         let batched = read_binary_batched(&mut &buf[..cut]).expect_err("prefix must not decode");
+        let streamed = read_branch_index(&mut &buf[..cut]).expect_err("prefix must not decode");
+        assert!(
+            same_variant(&batched, &streamed),
+            "cut={cut}: batched {batched:?} vs streamed {streamed:?}"
+        );
         assert!(
             same_variant(&reference, &batched),
             "cut={cut}: reference {reference:?} vs batched {batched:?}"
@@ -181,6 +260,7 @@ fn corrupt_inputs_error_identically_in_both_decoders() {
         corruption.apply(&mut corrupted);
         let reference = read_binary(&mut corrupted.as_slice());
         let batched = read_binary_batched(&mut corrupted.as_slice());
+        assert_streamed_agrees(&batched, read_branch_index(&mut corrupted.as_slice()));
         match (reference, batched) {
             (Ok(a), Ok(b)) => assert_eq!(a, b, "decoders accepted different traces"),
             (Err(a), Err(b)) => assert!(
@@ -213,6 +293,10 @@ fn corrupt_record_count_is_detected_not_trusted() {
     ));
     assert!(matches!(
         read_binary_batched(&mut buf.as_slice()),
+        Err(CodecError::Truncated)
+    ));
+    assert!(matches!(
+        read_branch_index(&mut buf.as_slice()),
         Err(CodecError::Truncated)
     ));
 }
@@ -254,6 +338,7 @@ fn overlong_varint_at_the_end_of_the_buffer_is_truncated_not_a_panic() {
             matches!(batched, Err(CodecError::Truncated)),
             "{remaining} bytes left: batched {batched:?}"
         );
+        assert_streamed_agrees(&batched, read_branch_index(&mut bytes.as_slice()));
     }
 }
 
@@ -302,6 +387,11 @@ fn short_reads_decode_like_the_reference() {
             bytes: &bytes,
             rng: SimRng::seed_from_u64(*read_seed),
         });
+        let streamed = read_branch_index(&mut ShortReads {
+            bytes: &bytes,
+            rng: SimRng::seed_from_u64(*read_seed),
+        });
+        assert_streamed_agrees(&batched, streamed);
         match (reference, batched) {
             (Ok(a), Ok(b)) => assert_eq!(a, b, "decoders accepted different traces"),
             (Err(a), Err(b)) => assert!(
