@@ -31,11 +31,6 @@ pub trait BtbInterface {
         self.prefetch_fill(pc, target, kind)
     }
 
-    /// Hints that `pc` will be accessed soon (software prefetch of the
-    /// relevant set row). Purely advisory — defaults to a no-op, and
-    /// implementations must not change any observable state.
-    fn warm(&self, _pc: u64) {}
-
     /// Aggregated statistics. Composite organizations report the sum of
     /// their parts.
     fn stats(&self) -> BtbStats;
@@ -62,10 +57,6 @@ impl<P: ReplacementPolicy> BtbInterface for Btb<P> {
 
     fn prefetch_fill_hinted(&mut self, pc: u64, target: u64, kind: BranchKind, hint: u8) -> bool {
         Btb::prefetch_fill_hinted(self, pc, target, kind, hint)
-    }
-
-    fn warm(&self, pc: u64) {
-        Btb::warm(self, pc);
     }
 
     fn stats(&self) -> BtbStats {

@@ -162,14 +162,6 @@ impl<P: ReplacementPolicy> Btb<P> {
             .map(|way| self.storage.entry(set, way))
     }
 
-    /// Hints that `pc`'s set will be accessed soon, so trace-driven callers
-    /// that know their stream ahead of time can overlap the row fetch with
-    /// other work. No architectural effect.
-    #[inline]
-    pub fn warm(&self, pc: u64) {
-        self.storage.warm(self.geometry.set_of(pc));
-    }
-
     /// Performs one BTB access for a dynamically taken branch.
     ///
     /// `next_use` is the oracle position of the next access to this PC

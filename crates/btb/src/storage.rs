@@ -72,15 +72,6 @@ impl SoaStorage {
         }
     }
 
-    /// Hints that `set`'s row will be probed soon (see
-    /// [`sim_support::prefetch_read`]); no architectural effect.
-    #[inline]
-    pub fn warm(&self, set: usize) {
-        let base = set * self.stride;
-        sim_support::prefetch_read(&raw const self.occupancy[set]);
-        sim_support::prefetch_read(&raw const self.pcs[base]);
-    }
-
     /// The way holding `pc` in `set`, if resident.
     #[inline]
     pub fn find(&self, set: usize, pc: u64) -> Option<usize> {

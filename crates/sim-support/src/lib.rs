@@ -56,7 +56,6 @@ pub mod forall;
 pub mod fsio;
 pub mod golden;
 pub mod pool;
-pub mod prefetch;
 pub mod rng;
 
 pub use bench::{BenchHarness, BenchResult};
@@ -66,5 +65,4 @@ pub use fault::{
     SimError,
 };
 pub use pool::{PoolStats, ThreadPool};
-pub use prefetch::prefetch_read;
 pub use rng::{SimRng, SplitMix64};

@@ -11,7 +11,7 @@
 //! * the set of all identifiers and (lowercased) string literals in the
 //!   file (the reference legs).
 
-use crate::tokens::{tokenize, TokKind, Token};
+use crate::tokens::{TokKind, Token};
 use std::collections::BTreeSet;
 
 /// One `"member" => Variant(Type)` row of a table-macro invocation.
@@ -94,9 +94,8 @@ impl WorkspaceIndex {
     }
 }
 
-/// Indexes one file.
-pub fn index_file(source: &str) -> FileIndex {
-    let tokens = tokenize(source);
+/// Indexes one file from its (comment-free) token stream.
+pub fn index_file(tokens: Vec<Token>) -> FileIndex {
     let n = tokens.len();
     let mut idx = FileIndex::default();
 
@@ -236,6 +235,7 @@ fn parse_fn(tokens: &[Token], at: usize, in_tests: bool) -> Option<FnDef> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tokens::tokenize;
 
     const SRC: &str = r#"
 macro_rules! zoo {
@@ -259,7 +259,7 @@ mod tests {
 
     #[test]
     fn table_rows_with_payloads_and_lines() {
-        let idx = index_file(SRC);
+        let idx = index_file(tokenize(SRC).tokens);
         assert_eq!(
             idx.tables.len(),
             1,
@@ -286,7 +286,7 @@ mod tests {
 
     #[test]
     fn fns_and_test_mods() {
-        let idx = index_file(SRC);
+        let idx = index_file(tokenize(SRC).tokens);
         let hot = idx.fns_named("hot").next().expect("hot indexed");
         assert!(hot.body_open_line > 0 && hot.end_line > hot.body_open_line);
         assert!(idx.fns_named("helper").next().is_none(), "tests skipped");

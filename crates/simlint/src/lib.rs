@@ -10,10 +10,12 @@
 //!
 //! The analysis is two-pass and has zero external dependencies:
 //!
-//! 1. **Per file**: a line scanner ([`scan`]) separates code from comments
-//!    and blanks literals, the per-file rules ([`rules`]) match on the code
-//!    channel, and a tokenizer + item extractor ([`tokens`], [`index`])
-//!    records the file's registry tables, functions, and references.
+//! 1. **Per file**: one lexer ([`tokens`]) reads the file once. The
+//!    per-line view ([`scan`]) is derived from its literal and comment
+//!    spans, with code separated from comments and literals blanked, and
+//!    the per-file rules ([`rules`]) match on its code channel. The item
+//!    extractor ([`index`]) records the file's registry tables, functions,
+//!    and references from the same tokens.
 //! 2. **Cross file**: the per-file indices are joined into a
 //!    [`index::WorkspaceIndex`] and the registry-drift and hot-path rules
 //!    ([`rules_xfile`]) run over it.
@@ -95,18 +97,19 @@ pub fn load_files(root: &Path, config: &Config) -> Result<Vec<SourceFile>, Strin
 /// X02 findings against central `simlint.toml` entries anchor at
 /// `simlint.toml:<entry line>`.
 pub fn analyze(files: &[SourceFile], config: &Config) -> Vec<Diagnostic> {
-    // Pass 1: scan + per-file rules + item index.
-    let scanned: Vec<scan::Scanned> = files.iter().map(|f| scan::scan(&f.text)).collect();
+    // Pass 1: lex each file once; its per-line view feeds the per-file
+    // rules and its tokens the item index.
+    let mut scanned: Vec<scan::Scanned> = Vec::with_capacity(files.len());
     let mut raw: Vec<Diagnostic> = Vec::new();
-    for (f, sc) in files.iter().zip(&scanned) {
-        rules::raw_file_rules(&f.rel, sc, config, &mut raw);
+    let mut ws = index::WorkspaceIndex::default();
+    for f in files {
+        let lexed = tokens::tokenize(&f.text);
+        let sc = scan::view(&f.text, &lexed);
+        rules::raw_file_rules(&f.rel, &sc, config, &mut raw);
+        scanned.push(sc);
+        ws.files
+            .push((f.rel.clone(), index::index_file(lexed.tokens)));
     }
-    let ws = index::WorkspaceIndex {
-        files: files
-            .iter()
-            .map(|f| (f.rel.clone(), index::index_file(&f.text)))
-            .collect(),
-    };
 
     // Pass 2: cross-file rules.
     let xa = rules_xfile::run_xfile(&ws, config);

@@ -304,12 +304,13 @@ fn check_hot_fn(rel: &str, fidx: &FileIndex, f: &FnDef, diags: &mut Vec<Diagnost
 mod tests {
     use super::*;
     use crate::index::index_file;
+    use crate::tokens::tokenize;
 
     fn ws(files: &[(&str, &str)]) -> WorkspaceIndex {
         WorkspaceIndex {
             files: files
                 .iter()
-                .map(|(rel, src)| ((*rel).to_owned(), index_file(src)))
+                .map(|(rel, src)| ((*rel).to_owned(), index_file(tokenize(src).tokens)))
                 .collect(),
         }
     }

@@ -17,6 +17,7 @@
 
 use crate::config::{Config, HotPathFn};
 use crate::index::index_file;
+use crate::tokens::tokenize;
 use crate::{analyze, SourceFile};
 use std::collections::BTreeSet;
 use std::path::Path;
@@ -132,7 +133,7 @@ fn build_ghost_row(
         return;
     };
     let Some((file, row)) = find_file(files, &table_ref.path).and_then(|f| {
-        let row = index_file(&f.text)
+        let row = index_file(tokenize(&f.text).tokens)
             .table(&table_ref.item)?
             .rows
             .first()?

@@ -118,15 +118,6 @@ impl<const W: usize> CacheLevel<W> {
         false
     }
 
-    /// Hints that `block`'s set will be accessed soon; no architectural
-    /// effect.
-    #[inline]
-    pub fn warm(&self, block: u64) {
-        let set = self.set_of(block);
-        sim_support::prefetch_read(&raw const self.tags[set]);
-        sim_support::prefetch_read(&raw const self.stamps[set]);
-    }
-
     /// Whether `block` is resident, without updating LRU or counters.
     pub fn contains(&self, block: u64) -> bool {
         self.tags[self.set_of(block)].contains(&block)
@@ -173,14 +164,6 @@ impl InstrHierarchy {
         } else {
             HitLevel::Memory
         }
-    }
-
-    /// Hints that the block containing `addr` will be fetched soon. Only
-    /// the L1I row is warmed: it is probed on every fetch, while the outer
-    /// levels are only touched on (much rarer) misses.
-    #[inline]
-    pub fn warm(&self, addr: u64) {
-        self.l1i.warm(addr / BLOCK_BYTES);
     }
 
     /// Instruction misses at the L2 level per kilo-instruction — the

@@ -187,16 +187,6 @@ impl Tage {
         (table << TAGGED_BITS) | idx
     }
 
-    /// Hints that `pc` will be predicted soon. Warms the tables whose index
-    /// depends only on the PC (bimodal, local history); the tagged-table
-    /// indices also hash the global history, which is unknown that far
-    /// ahead. No architectural effect.
-    #[inline]
-    pub fn warm(&self, pc: u64) {
-        sim_support::prefetch_read(&raw const self.bimodal[self.bimodal_index(pc)]);
-        sim_support::prefetch_read(&raw const self.local_hist[Self::local_hist_index(pc)]);
-    }
-
     /// Predicts the direction of the conditional branch at `pc`.
     pub fn predict(&self, pc: u64) -> Prediction {
         let mut pred = self.tage_predict(pc);
