@@ -83,16 +83,6 @@ pub fn figure_by_id(id: &str, scale: &Scale) -> Option<Vec<FigureResult>> {
     Some(figs)
 }
 
-/// Runs every figure in paper order.
-pub fn all_figures(scale: &Scale) -> Vec<FigureResult> {
-    FIGURE_IDS
-        .iter()
-        // justified expect: ids come from FIGURE_IDS itself, which
-        // figure_by_id dispatches on — never from external input.
-        .flat_map(|id| figure_by_id(id, scale).expect("registered id"))
-        .collect()
-}
-
 /// The training trace (input `#0`) for an application, shared through the
 /// [trace memo](memo).
 pub(crate) fn train_trace(spec: &AppSpec, scale: &Scale) -> Arc<PreparedTrace> {

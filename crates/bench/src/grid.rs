@@ -11,17 +11,12 @@
 //!
 //! # Determinism rules
 //!
-//! * Cells never share a live RNG. Each cell gets its own stream, split from
-//!   a per-figure parent **by index before dispatch** ([`SimRng::split`] per
-//!   cell, drawn serially), so the stream a cell sees is a pure function of
-//!   `(figure id, cell index)` — not of scheduling. Reach it with
-//!   [`with_cell_rng`].
-//! * Audit note (`workloads::exec`): trace generation already builds a fresh
-//!   `Executor` per `(app, input)` pair seeded from `structure_seed` +
-//!   `input_id`, so no `&mut` RNG ever crosses a cell boundary in the figure
-//!   closures today. The grid makes that a structural guarantee rather than a
-//!   convention, and `tests/grid_parallel.rs` runs the cells in permuted
-//!   order to prove results are order-independent.
+//! A cell is a pure function of `(figure, cell index, scale)`: no RNG or
+//! other mutable state crosses a cell boundary. Trace generation builds a
+//! fresh `Executor` per `(app, input)` pair seeded from `structure_seed` +
+//! `input_id` (`workloads::exec`), and the memoised traces, profiles and
+//! reports are shared read-only. `tests/grid_parallel.rs` runs the cells in
+//! reversed order to show the gathered results do not depend on it.
 //!
 //! # Observability
 //!
@@ -33,29 +28,27 @@
 //!
 //! # Fault tolerance
 //!
-//! By default a panicking cell aborts the whole figure (the pre-PR-5
-//! behaviour, which unit tests rely on). The `figures` binary instead
-//! installs a [`FaultPolicy`] with `isolate = true`: each cell then runs
-//! through [`sim_support::fault::isolated`], transient failures are retried
-//! up to `max_retries` times (the cell RNG is re-seeded per attempt, so a
-//! retry reproduces the clean-run result bit-for-bit), poison cells are
+//! Every cell runs through one executor. By default a panicking cell
+//! unwinds with its original payload and aborts the whole figure, which
+//! unit tests rely on. The `figures` binary instead installs a
+//! [`FaultPolicy`] with `isolate = true`: each cell then runs through
+//! [`sim_support::fault::isolated`] inside its pool task, transient
+//! failures are retried up to `max_retries` times (a retry reproduces the
+//! clean-run result bit-for-bit because the cell is pure), poison cells are
 //! recorded in the [quarantine registry](take_quarantined) and dropped from
 //! the gathered output, and fatal errors still abort. The per-cell
 //! [hook](set_cell_hook) fires in canonical order on the gathering thread —
 //! the `figures` binary uses it to append checkpoint-journal lines.
 
-use std::cell::RefCell;
+use std::cell::Cell;
 use std::path::Path;
 use std::sync::Mutex; // simlint: allow(D03) -- guards the telemetry registry, drained in canonical cell order
 use std::time::Instant;
 
-use sim_support::fault::{self, fnv1a, FaultClass, SimError};
-use sim_support::{fsio, pool, SimRng};
+use sim_support::fault::{self, FaultClass, Isolated};
+use sim_support::{fsio, pool};
 
 use crate::figures::memo;
-
-/// Seed folded with the figure id to root each figure's cell-RNG tree.
-const GRID_SEED: u64 = 0x6e1d_5eed_b7b2_0221;
 
 /// Per-cell measurement, pushed to the registry in canonical order.
 #[derive(Clone, Debug)]
@@ -119,16 +112,12 @@ pub enum CellOutcome<'a> {
 /// Callback invoked once per gathered cell on the submitting thread.
 pub type CellHook = Box<dyn Fn(CellOutcome<'_>) + Send + Sync>;
 
-struct ActiveCell {
-    accesses: u64,
-    rng: SimRng,
-}
-
 thread_local! {
-    static ACTIVE: RefCell<Option<ActiveCell>> = const { RefCell::new(None) };
+    /// Simulated accesses credited to the cell running on this thread.
+    static ACTIVE: Cell<Option<u64>> = const { Cell::new(None) };
     /// When set, the serial path executes cells in reverse index order —
     /// the permuted-schedule regression hook used by `tests/grid_parallel.rs`.
-    static REVERSE_SERIAL: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+    static REVERSE_SERIAL: Cell<bool> = const { Cell::new(false) };
 }
 
 // simlint: allow(D03) -- wall-clock telemetry only; simulated results never read this registry
@@ -178,21 +167,9 @@ pub fn record_quarantined(record: Quarantined) {
 /// Credits `n` simulated accesses to the currently running cell. A no-op
 /// outside a cell (unit tests calling figure helpers directly).
 pub fn note_accesses(n: u64) {
-    ACTIVE.with_borrow_mut(|active| {
-        if let Some(cell) = active {
-            cell.accesses += n;
-        }
-    });
-}
-
-/// Runs `f` with the current cell's private RNG stream — a pure function of
-/// `(figure id, cell index)`, never shared between cells. Outside a cell a
-/// fixed fallback stream is used so callers stay deterministic in unit tests.
-pub fn with_cell_rng<R>(f: impl FnOnce(&mut SimRng) -> R) -> R {
-    ACTIVE.with_borrow_mut(|active| match active {
-        Some(cell) => f(&mut cell.rng),
-        None => f(&mut SimRng::seed_from_u64(GRID_SEED)),
-    })
+    if let Some(accesses) = ACTIVE.get() {
+        ACTIVE.set(Some(accesses + n));
+    }
 }
 
 /// Runs one figure's cells through the pool and gathers results in canonical
@@ -205,119 +182,73 @@ where
     L: Fn(&I) -> String + Sync,
     F: Fn(&I) -> T + Sync,
 {
-    // Split one private stream per cell up front, serially, so cell i's
-    // stream depends only on (figure, i) — never on execution order.
-    let mut parent = SimRng::seed_from_u64(GRID_SEED ^ fnv1a(figure.as_bytes()));
-    let seeds: Vec<u64> = items.iter().map(|_| parent.next_u64()).collect();
     let policy = fault_policy();
-
     let pool_handle = pool::handle();
-    let run_one = |index: usize, item: &I, attempt: u32| -> (T, CellStat) {
+    let run_one = |index: usize, attempt: u32| -> (T, CellStat) {
         // Injection checkpoint: panics with a SimError payload when the
         // installed fault plan targets this cell. No-op without a plan.
         fault::cell_attempt(figure, index, attempt);
         let queue_depth = pool_handle.as_ref().map_or(0, |p| p.queued());
         // Save/restore rather than set/clear: a worker that help-runs other
-        // queued cells while one of its own waits must not lose its context.
-        // Re-seeding from seeds[index] on every attempt keeps a retried
-        // cell's stream identical to a clean first run.
-        let previous = ACTIVE.replace(Some(ActiveCell {
-            accesses: 0,
-            rng: SimRng::seed_from_u64(seeds[index]),
-        }));
+        // queued cells while one of its own waits must not lose its count.
+        // An unwound attempt leaves its partial count behind, which the next
+        // attempt (or the next cell on that worker) replaces wholesale.
+        let previous = ACTIVE.replace(Some(0));
         let start = Instant::now();
-        let value = f(item);
+        let value = f(&items[index]);
         let wall = start.elapsed();
-        let cell = ACTIVE.replace(previous).expect("cell context intact");
-        let wall_ms = wall.as_secs_f64() * 1e3;
+        let accesses = ACTIVE.replace(previous).expect("cell context intact");
         let accesses_per_sec = if wall.as_secs_f64() > 0.0 {
-            cell.accesses as f64 / wall.as_secs_f64()
+            accesses as f64 / wall.as_secs_f64()
         } else {
             0.0
         };
         let stat = CellStat {
             figure: figure.to_string(),
-            label: label(item),
+            label: label(&items[index]),
             index,
-            wall_ms,
-            accesses: cell.accesses,
+            wall_ms: wall.as_secs_f64() * 1e3,
+            accesses,
             accesses_per_sec,
             queue_depth,
             attempts: attempt + 1,
         };
         (value, stat)
     };
-
-    // A panicking cell leaves the ACTIVE context of the unwound attempt
-    // behind on its worker thread; the save/restore in run_one only runs to
-    // completion on non-panicking attempts. That is safe — the next attempt
-    // (or the next cell on that worker) replaces the slot wholesale — but it
-    // is why run_one must never observe a previous attempt's context.
-    let gathered: Vec<Result<(T, CellStat), (SimError, u32)>> = if policy.isolate {
-        let isolated = match &pool_handle {
-            Some(p) => p.try_par_map(items, policy.max_retries, |i, item, attempt| {
-                run_one(i, item, attempt)
-            }),
-            None => {
-                // Serial path; honor the permuted-order regression hook.
-                let mut slots = Vec::with_capacity(items.len());
-                slots.resize_with(items.len(), || None);
-                let mut order: Vec<usize> = (0..items.len()).collect();
-                if REVERSE_SERIAL.get() {
-                    order.reverse();
-                }
-                for index in order {
-                    slots[index] = Some(fault::isolated(policy.max_retries, |attempt| {
-                        run_one(index, &items[index], attempt)
-                    }));
-                }
-                slots
-                    .into_iter()
-                    .map(|slot| slot.expect("every cell ran"))
-                    .collect()
+    // The one cell executor. Isolation turns a panic into a classified
+    // SimError and retries transients; otherwise the panic unwinds with its
+    // original payload, through the pool's scope, to the caller.
+    let attempt = |index: usize| -> Isolated<(T, CellStat)> {
+        if policy.isolate {
+            fault::isolated(policy.max_retries, |attempt| run_one(index, attempt))
+        } else {
+            Isolated {
+                result: Ok(run_one(index, 0)),
+                attempts: 1,
             }
-        };
-        isolated
-            .into_iter()
-            .map(|cell| {
-                let attempts = cell.attempts;
-                match cell.result {
-                    Ok((value, mut stat)) => {
-                        stat.attempts = attempts;
-                        Ok((value, stat))
-                    }
-                    Err(err) => Err((err, attempts)),
-                }
-            })
-            .collect()
-    } else {
-        let plain = match &pool_handle {
-            Some(p) => p.par_map(items, |i, item| run_one(i, item, 0)),
-            None => {
-                let mut slots: Vec<Option<(T, CellStat)>> = Vec::with_capacity(items.len());
-                slots.resize_with(items.len(), || None);
-                let mut order: Vec<usize> = (0..items.len()).collect();
-                if REVERSE_SERIAL.get() {
-                    order.reverse();
-                }
-                for index in order {
-                    slots[index] = Some(run_one(index, &items[index], 0));
-                }
-                slots
-                    .into_iter()
-                    .map(|slot| slot.expect("every cell ran"))
-                    .collect()
+        }
+    };
+    let gathered: Vec<Isolated<(T, CellStat)>> = match &pool_handle {
+        Some(p) => p.par_map(items, |index, _| attempt(index)),
+        None => {
+            let reverse = REVERSE_SERIAL.get();
+            let last = items.len().saturating_sub(1);
+            let mut cells: Vec<_> = (0..items.len())
+                .map(|k| attempt(if reverse { last - k } else { k }))
+                .collect();
+            if reverse {
+                cells.reverse();
             }
-        };
-        plain.into_iter().map(Ok).collect()
+            cells
+        }
     };
 
     // Gather: canonical (submission) order. The hook and the crash
     // checkpoint run here, on this thread, so journal lines and simulated
     // crash points are as deterministic as the results themselves.
     let mut values = Vec::with_capacity(gathered.len());
-    for (index, outcome) in gathered.into_iter().enumerate() {
-        match outcome {
+    for (index, cell) in gathered.into_iter().enumerate() {
+        match cell.result {
             Ok((value, stat)) => {
                 {
                     let hook = CELL_HOOK.lock().expect("cell hook poisoned");
@@ -331,19 +262,19 @@ where
                     .push(stat);
                 values.push(value);
             }
-            Err((err, _)) if err.class == FaultClass::Fatal => {
+            Err(err) if err.class == FaultClass::Fatal => {
                 // Fatal means the run is compromised; re-raise rather than
                 // pretend a partial grid is a result.
                 std::panic::panic_any(err);
             }
-            Err((err, attempts)) => {
+            Err(err) => {
                 let record = Quarantined {
                     figure: figure.to_string(),
                     label: label(&items[index]),
                     index,
                     class: err.class,
                     reason: err.message,
-                    attempts,
+                    attempts: cell.attempts,
                 };
                 {
                     let hook = CELL_HOOK.lock().expect("cell hook poisoned");
@@ -365,7 +296,7 @@ where
 
 /// Runs `f` with the serial executor visiting cells in **reverse** index
 /// order on this thread. Gathered output must not change — the regression
-/// test for cell order-independence (and thus for RNG sharing across cells).
+/// test for cell order-independence (and thus for state shared across cells).
 pub fn with_reversed_serial_order<R>(f: impl FnOnce() -> R) -> R {
     struct Reset;
     impl Drop for Reset {
@@ -486,50 +417,19 @@ mod tests {
         assert_eq!(out, (0..12).map(|i| i * 3).collect::<Vec<_>>());
     }
 
-    #[test]
-    fn reversed_serial_order_gathers_identically() {
-        let items: Vec<usize> = (0..9).collect();
-        let forward = run_cells(
-            "unit-rev",
-            &items,
-            |i| i.to_string(),
-            |&i| with_cell_rng(|rng| rng.next_u64()).wrapping_add(i as u64),
-        );
-        let reversed = with_reversed_serial_order(|| {
-            run_cells(
-                "unit-rev",
-                &items,
-                |i| i.to_string(),
-                |&i| with_cell_rng(|rng| rng.next_u64()).wrapping_add(i as u64),
-            )
-        });
-        assert_eq!(forward, reversed);
+    /// A pure per-index cell value that is not simply the index.
+    fn mix(i: usize) -> u64 {
+        (i as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15)
     }
 
     #[test]
-    fn cell_rng_is_a_function_of_figure_and_index() {
-        let items = [0usize, 1, 2];
-        let a = run_cells(
-            "unit-rng",
-            &items,
-            |i| i.to_string(),
-            |_| with_cell_rng(|rng| rng.next_u64()),
-        );
-        let b = run_cells(
-            "unit-rng",
-            &items,
-            |i| i.to_string(),
-            |_| with_cell_rng(|rng| rng.next_u64()),
-        );
-        let other = run_cells(
-            "unit-rng2",
-            &items,
-            |i| i.to_string(),
-            |_| with_cell_rng(|rng| rng.next_u64()),
-        );
-        assert_eq!(a, b, "same figure + index => same stream");
-        assert_ne!(a, other, "different figure => different streams");
-        assert_ne!(a[0], a[1], "cells never share a stream");
+    fn reversed_serial_order_gathers_identically() {
+        let items: Vec<usize> = (0..9).collect();
+        let forward = run_cells("unit-rev", &items, |i| i.to_string(), |&i| mix(i));
+        let reversed = with_reversed_serial_order(|| {
+            run_cells("unit-rev", &items, |i| i.to_string(), |&i| mix(i))
+        });
+        assert_eq!(forward, reversed);
     }
 
     /// Serializes tests that touch the process-global fault policy/plan.
@@ -590,20 +490,10 @@ mod tests {
         );
         reset_stats();
         let items: Vec<usize> = (0..3).collect();
-        let out = run_cells(
-            "unit-retry",
-            &items,
-            |i| i.to_string(),
-            |&i| with_cell_rng(|rng| rng.next_u64()).wrapping_add(i as u64),
-        );
+        let out = run_cells("unit-retry", &items, |i| i.to_string(), |&i| mix(i));
         sim_support::fault::clear();
         set_fault_policy(FaultPolicy::default());
-        let clean = run_cells(
-            "unit-retry",
-            &items,
-            |i| i.to_string(),
-            |&i| with_cell_rng(|rng| rng.next_u64()).wrapping_add(i as u64),
-        );
+        let clean = run_cells("unit-retry", &items, |i| i.to_string(), |&i| mix(i));
         assert_eq!(out, clean, "a retried cell reproduces its clean value");
         let stats = take_stats();
         let retried = stats

@@ -26,6 +26,8 @@
 use std::hint::black_box;
 use std::time::Instant;
 
+use crate::fsio::json_escape;
+
 /// One benchmark's timing summary.
 #[derive(Clone, Debug)]
 pub struct BenchResult {
@@ -140,20 +142,20 @@ impl BenchHarness {
     /// Renders the suite's results as a JSON string.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");
-        out.push_str(&format!("  \"suite\": {},\n", json_string(&self.suite)));
+        out.push_str(&format!("  \"suite\": \"{}\",\n", json_escape(&self.suite)));
         out.push_str(&format!("  \"warmup\": {},\n", self.warmup));
         if !self.notes.is_empty() {
             out.push_str("  \"notes\": [\n");
             for (i, note) in self.notes.iter().enumerate() {
                 let comma = if i + 1 < self.notes.len() { "," } else { "" };
-                out.push_str(&format!("    {}{comma}\n", json_string(note)));
+                out.push_str(&format!("    \"{}\"{comma}\n", json_escape(note)));
             }
             out.push_str("  ],\n");
         }
         out.push_str("  \"benchmarks\": [\n");
         for (i, r) in self.results.iter().enumerate() {
             out.push_str("    {");
-            out.push_str(&format!("\"name\": {}, ", json_string(&r.name)));
+            out.push_str(&format!("\"name\": \"{}\", ", json_escape(&r.name)));
             out.push_str(&format!("\"iters\": {}, ", r.iters));
             out.push_str(&format!("\"median_ns\": {}, ", json_f64(r.median_ns)));
             out.push_str(&format!("\"mad_ns\": {}, ", json_f64(r.mad_ns)));
@@ -214,22 +216,6 @@ fn render_line(suite: &str, r: &BenchResult) -> String {
     )
 }
 
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 fn json_f64(v: f64) -> String {
     if v.is_finite() {
         format!("{v:.1}")
@@ -279,6 +265,17 @@ mod tests {
         assert!(json.contains("\"notes\""));
         assert!(json.contains("a \\\"quoted\\\" note"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
+    }
+
+    #[test]
+    fn names_keep_their_json_escaping() {
+        // A quote, a backslash, a newline and a control char, escaped by
+        // the shared `fsio::json_escape` exactly as `results/` expects.
+        let mut h = BenchHarness::new("esc");
+        h.bench("a/b \"q\" \\ c\n\u{1}", None, || ());
+        assert!(h
+            .to_json()
+            .contains(r#"    {"name": "a/b \"q\" \\ c\n\u0001", "iters": "#));
     }
 
     #[test]

@@ -698,7 +698,7 @@ impl Corruption {
 /// byte frames over a stream). Each variant models a concrete wire
 /// failure; [`NetFaultKind::class`] maps it onto the transient/poison/fatal
 /// taxonomy so client retry loops classify wire errors exactly the way
-/// [`crate::pool::ThreadPool::try_par_map`] classifies cell failures.
+/// [`isolated`] classifies cell failures.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum NetFaultKind {
     /// The frame is silently discarded: never written to the stream. The

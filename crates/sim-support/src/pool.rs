@@ -43,8 +43,6 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crate::fault::{self, Isolated};
-
 /// A queued unit of work. Scoped tasks are transmuted to `'static` (see
 /// [`Scope::spawn`]); soundness rests on the scope blocking until they run.
 type Job = Box<dyn FnOnce() + Send + 'static>;
@@ -271,48 +269,6 @@ impl ThreadPool {
             .map(|slot| slot.expect("scope completed, all slots filled"))
             .collect()
     }
-
-    /// [`par_map`](Self::par_map) in **isolation mode**: instead of
-    /// propagating the first panic and discarding everything, each task is
-    /// wrapped in [`fault::isolated`] — its panic becomes a per-task
-    /// `Err(SimError)` and every other task still runs to completion.
-    /// Transient failures are retried up to `max_retries` extra times, on
-    /// the same worker, before the task settles.
-    ///
-    /// `f` receives `(index, item, attempt)`; the attempt number lets
-    /// callers re-derive per-attempt state (e.g. re-seed a cell RNG) so a
-    /// retried task produces the identical result it would have on a clean
-    /// first run. Results gather in submission order, like `par_map`.
-    pub fn try_par_map<I, T, F>(&self, items: &[I], max_retries: u32, f: F) -> Vec<Isolated<T>>
-    where
-        I: Sync,
-        T: Send,
-        F: Fn(usize, &I, u32) -> T + Sync,
-    {
-        let run = |index: usize, item: &I| {
-            fault::isolated(max_retries, |attempt| f(index, item, attempt))
-        };
-        if self.threads() == 1 || items.len() <= 1 {
-            return items.iter().enumerate().map(|(i, x)| run(i, x)).collect();
-        }
-        let mut slots: Vec<Option<Isolated<T>>> = Vec::with_capacity(items.len());
-        slots.resize_with(items.len(), || None);
-        self.scope(|scope| {
-            for (slot, (index, item)) in slots.iter_mut().zip(items.iter().enumerate()) {
-                let run = &run;
-                // The isolation wrapper catches the task's panic *inside*
-                // the job, so the scope's first-panic machinery never
-                // triggers and sibling tasks are unaffected.
-                scope.spawn(move || {
-                    *slot = Some(run(index, item));
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|slot| slot.expect("scope completed, all slots filled"))
-            .collect()
-    }
 }
 
 impl Drop for ThreadPool {
@@ -492,24 +448,6 @@ where
     }
 }
 
-/// [`ThreadPool::try_par_map`] on the process-shared pool — serial
-/// fallback (still isolated per task) when the configured count is 1.
-pub fn try_par_map<I, T, F>(items: &[I], max_retries: u32, f: F) -> Vec<Isolated<T>>
-where
-    I: Sync,
-    T: Send,
-    F: Fn(usize, &I, u32) -> T + Sync,
-{
-    match handle() {
-        Some(pool) => pool.try_par_map(items, max_retries, f),
-        None => items
-            .iter()
-            .enumerate()
-            .map(|(i, x)| fault::isolated(max_retries, |attempt| f(i, x, attempt)))
-            .collect(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -632,82 +570,6 @@ mod tests {
             "workers must have run something"
         );
         assert_eq!(busy.load(Ordering::Relaxed), 64);
-    }
-
-    #[test]
-    fn try_par_map_isolates_a_panicking_task() {
-        use crate::fault::{FaultClass, SimError};
-        let pool = ThreadPool::new(4);
-        let items: Vec<usize> = (0..8).collect();
-        let out = pool.try_par_map(&items, 0, |_, &x, _| {
-            if x == 3 {
-                std::panic::panic_any(SimError::poison("bad cell"));
-            }
-            x * 2
-        });
-        assert_eq!(out.len(), 8);
-        for (i, isolated) in out.iter().enumerate() {
-            if i == 3 {
-                let err = isolated.result.as_ref().unwrap_err();
-                assert_eq!(err.class, FaultClass::Poison);
-                assert_eq!(isolated.attempts, 1, "poison is never retried");
-            } else {
-                assert_eq!(*isolated.result.as_ref().unwrap(), i * 2);
-            }
-        }
-        // The pool stays fully usable afterwards.
-        assert_eq!(pool.par_map(&[1, 2], |_, x| x + 1), vec![2, 3]);
-    }
-
-    #[test]
-    fn try_par_map_retries_transients_deterministically() {
-        use crate::fault::SimError;
-        let pool = ThreadPool::new(3);
-        let items: Vec<usize> = (0..6).collect();
-        let run = |max_retries| {
-            pool.try_par_map(&items, max_retries, |i, &x, attempt| {
-                if i == 2 && attempt == 0 {
-                    std::panic::panic_any(SimError::transient("flaky once"));
-                }
-                (x, attempt)
-            })
-        };
-        let healed = run(1);
-        assert_eq!(*healed[2].result.as_ref().unwrap(), (2, 1));
-        assert_eq!(healed[2].attempts, 2);
-        for (i, isolated) in healed.iter().enumerate() {
-            if i != 2 {
-                assert_eq!(*isolated.result.as_ref().unwrap(), (i, 0));
-                assert_eq!(isolated.attempts, 1);
-            }
-        }
-        let exhausted = run(0);
-        assert!(exhausted[2].result.is_err(), "no retry budget: fails");
-    }
-
-    #[test]
-    fn try_par_map_serial_matches_parallel() {
-        use crate::fault::SimError;
-        let wide = ThreadPool::new(4);
-        let narrow = ThreadPool::new(1);
-        let items: Vec<usize> = (0..10).collect();
-        let f = |_: usize, &x: &usize, _: u32| {
-            if x == 7 {
-                std::panic::panic_any(SimError::poison("always bad"));
-            }
-            x + 100
-        };
-        let a: Vec<_> = wide
-            .try_par_map(&items, 2, f)
-            .into_iter()
-            .map(|i| (i.result.ok(), i.attempts))
-            .collect();
-        let b: Vec<_> = narrow
-            .try_par_map(&items, 2, f)
-            .into_iter()
-            .map(|i| (i.result.ok(), i.attempts))
-            .collect();
-        assert_eq!(a, b, "isolation outcomes must not depend on width");
     }
 
     #[test]

@@ -288,9 +288,9 @@ fn rule_s02(rel_path: &str, scanned: &Scanned, out: &mut Vec<Diagnostic>) {
 /// `sim_support::pool`, and the test harnesses built on them) live on the
 /// central allowlist in `simlint.toml`.
 fn rule_s03(rel_path: &str, scanned: &Scanned, out: &mut Vec<Diagnostic>) {
-    const FIX: &str = "route panic capture through sim_support::fault::isolated or \
-                       pool::try_par_map, which classify the payload and keep retry \
-                       deterministic; do not swallow panics ad hoc";
+    const FIX: &str = "route panic capture through sim_support::fault::isolated, which \
+                       classifies the payload and keeps retry deterministic; do not \
+                       swallow panics ad hoc";
     for (idx, l) in scanned.lines.iter().enumerate() {
         for col in find_word(&l.code, "catch_unwind") {
             push(

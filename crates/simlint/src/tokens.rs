@@ -191,18 +191,23 @@ pub fn tokenize(source: &str) -> Lexed {
             '\'' => {
                 // Char literal vs lifetime: `'\…'` and `'x'` are literals,
                 // `'ident` is a lifetime.
-                if next == Some('\\') {
-                    let mut j = i + 2;
-                    if j < n {
-                        j += 1; // the escaped char
-                    }
+                let char_end = if next == Some('\\') {
+                    // Past the backslash and the escaped char.
+                    let mut j = (i + 3).min(n);
                     while j < n && chars[j] != '\'' {
                         j += 1;
                     }
-                    i = (j + 1).min(n);
-                    (TokKind::Char, String::new())
+                    Some((j + 1).min(n))
                 } else if chars.get(i + 2) == Some(&'\'') && next.is_some() {
-                    i += 3;
+                    Some(i + 3)
+                } else {
+                    None
+                };
+                if let Some(end) = char_end {
+                    // Only invalid Rust puts a newline here, but the
+                    // lines of everything after it must stay right.
+                    line += chars[i..end].iter().filter(|&&c| c == '\n').count();
+                    i = end;
                     (TokKind::Char, String::new())
                 } else if next.is_some_and(is_ident_start) {
                     let (text, end) = read_ident(&chars, i + 1);
@@ -385,6 +390,16 @@ mod tests {
         let q = toks.last().expect("q");
         assert!(q.is_ident("q"));
         assert_eq!(q.line, 4);
+    }
+
+    #[test]
+    fn lines_stay_right_after_a_newline_inside_a_char_literal() {
+        for src in ["'\\\n'; a\n// c\n", "'\n'; a\n// c\n"] {
+            let lexed = tokenize(src);
+            let a = lexed.tokens.iter().find(|t| t.is_ident("a")).expect("a");
+            assert_eq!(a.line, 2, "{src:?}");
+            assert_eq!(lexed.comments[0].line, 3, "{src:?}");
+        }
     }
 
     #[test]

@@ -151,7 +151,7 @@ cmp "$hintd_dir/before.dump" "$hintd_dir/after.dump"
 echo "==> bench regression guard (>15% median regression vs results/bench_baselines.json fails)"
 ./scripts/bench_check.sh
 
-echo "==> quarantine (a poisoned cell is dropped with a reason; siblings complete)"
+echo "==> quarantine (a poisoned cell is dropped with a reason; a transient one retries to the clean report)"
 env "${smoke_env[@]}" ./target/release/figures fig01 \
     --threads 2 --quarantine --max-retries 1 \
     --fault-plan seed=1,panic=fig01:1:poison \
@@ -159,6 +159,19 @@ env "${smoke_env[@]}" ./target/release/figures fig01 \
     --journal "$ft_dir/quarantine_journal.jsonl" > /dev/null
 grep -q '"class": "poison"' "$ft_dir/quarantine_stats.json"
 grep -q '"cells_quarantined": 1' "$ft_dir/quarantine_stats.json"
+# A transient fault is retried inside the cell's pool task: the report
+# equals a fault-free run's, nothing is quarantined, one cell took 2 attempts.
+env "${smoke_env[@]}" ./target/release/figures fig01 --threads 2 \
+    --markdown "$ft_dir/clean.md" --grid-stats "$ft_dir/clean_stats.json" \
+    --journal "$ft_dir/clean_journal.jsonl" > /dev/null
+env "${smoke_env[@]}" ./target/release/figures fig01 \
+    --threads 2 --quarantine --max-retries 1 \
+    --fault-plan panic=fig01:1:transient \
+    --markdown "$ft_dir/retried.md" --grid-stats "$ft_dir/retried_stats.json" \
+    --journal "$ft_dir/retried_journal.jsonl" > /dev/null
+cmp "$ft_dir/clean.md" "$ft_dir/retried.md"
+grep -q '"cells_quarantined": 0' "$ft_dir/retried_stats.json"
+[ "$(grep -c '"attempts": 2' "$ft_dir/retried_stats.json")" -eq 1 ]
 
 echo "==> supervised grid (kill -9 the wedged worker, restart, output == serial bytes)"
 sup_ids=(fig01 fig09 fig17 trrip hierarchy)

@@ -10,7 +10,7 @@
 
 use std::sync::Mutex; // simlint: allow(D03) -- serializes tests that flip process-global config
 
-use sim_support::pool;
+use sim_support::{pool, SimError};
 use thermometer_bench::figures::memo;
 use thermometer_bench::{figure_by_id, grid, Scale};
 
@@ -95,15 +95,40 @@ fn permuted_cell_execution_order_is_invisible() {
         "cell results depend on execution order — a cross-cell RNG or \
          shared mutable state leaked into the grid"
     );
+}
 
-    // The per-cell RNG streams themselves are order-independent too.
-    let items: Vec<usize> = (0..8).collect();
-    let draw = |_: &usize| grid::with_cell_rng(|rng| rng.next_u64());
-    let a = grid::run_cells("order-probe", &items, |i| i.to_string(), draw);
-    let b = grid::with_reversed_serial_order(|| {
-        grid::run_cells("order-probe", &items, |i| i.to_string(), draw)
-    });
-    assert_eq!(a, b, "cell RNG streams depend on execution order");
+/// Under the default (propagating) fault policy a panicking cell reaches the
+/// caller with its own payload, on the serial path and through the pool —
+/// never converted into a `SimError`.
+#[test]
+fn without_isolation_a_cell_panic_keeps_its_payload() {
+    let _exclusive = EXCLUSIVE.lock().unwrap_or_else(|e| e.into_inner());
+    let _reset = ResetThreads;
+    for threads in [1, 2] {
+        pool::set_threads(threads);
+        // simlint: allow(S03) -- asserts the default policy lets the panic escape unchanged
+        let payload = std::panic::catch_unwind(|| {
+            grid::run_cells(
+                "propagate-probe",
+                &[0usize, 1, 2],
+                |i| i.to_string(),
+                |&i| {
+                    assert!(i != 1, "cell 1 exploded");
+                    i
+                },
+            )
+        })
+        .expect_err("the default policy propagates the panic");
+        assert!(
+            payload.downcast_ref::<SimError>().is_none(),
+            "threads {threads}: the panic was converted into a SimError"
+        );
+        let message = payload
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| payload.downcast_ref::<&str>().copied());
+        assert_eq!(message, Some("cell 1 exploded"), "threads {threads}");
+    }
 }
 
 /// The observability registry records one stat per cell, in canonical order,
